@@ -132,73 +132,6 @@ def _packet_path_once(packets: int, fast_lane: bool) -> Dict[str, float]:
     }
 
 
-def _packet_path_burst_once(packets: int) -> Dict[str, float]:
-    """Drive the pinned packet-path workload as one burst-committed train.
-
-    Same topology, payloads and pacing grid as :func:`_packet_path_once`
-    -- but the whole emission schedule is handed to the network as a
-    single :class:`~repro.net.burst.PacketTrain`.  The burst event core
-    executes it as one array-level commit (vectorised departures,
-    arrivals, deliveries, block captures, one receiver handoff), so the
-    run measures the ceiling of the bulk tier: zero per-packet heap
-    events.  The commit is all-or-nothing; a refusal here is a bench
-    bug, not a fallback, so it raises.
-    """
-    from .net.burst import PacketTrain
-
-    simulator = Simulator()
-    network = Network(
-        simulator=simulator,
-        latency_model=LatencyModel(jitter_fraction=0.0),
-        rng=np.random.default_rng(0),
-        fast_lane=True,
-        burst=True,
-    )
-    sender = network.add_host("bench-tx", GeoPoint("tx", 40.0, -74.0))
-    receiver = network.add_host("bench-rx", GeoPoint("rx", 41.0, -87.0))
-    sender.start_capture()
-    receiver.start_capture()
-    received: "list[int]" = []
-
-    class _Sink:
-        """Receiver handler with both per-packet and train entry points."""
-
-        def __call__(self, packet, host):
-            received.append(packet.payload_bytes)
-
-        def on_train(self, train, deliveries, host):
-            received.extend(train.payload_sizes)
-
-    receiver.bind(5000, _Sink())
-    source = sender.address(4000)
-    destination = receiver.address(5000)
-    interval = 5e-5
-    sizes = [1200] * packets
-
-    def emit_train() -> None:
-        times = simulator.now + np.arange(packets) * interval
-        train = PacketTrain(source, destination, PacketKind.MEDIA_VIDEO,
-                            "bench|flow", times, sizes, seq_start=0)
-        if sender.send_train(train) != packets:
-            raise RuntimeError("burst bench: train refused the bulk commit")
-
-    simulator.schedule_at(0.0, emit_train)
-    start = time.perf_counter()
-    simulator.run()
-    wall = time.perf_counter() - start
-    if len(received) != packets:
-        raise RuntimeError(
-            f"burst packet-path bench dropped packets: {len(received)}/{packets}"
-        )
-    return {
-        "packets": packets,
-        "wall_s": wall,
-        "packets_per_s": packets / wall,
-        "events": simulator.events_processed,
-        "trains": network.burst_trains,
-    }
-
-
 def bench_packet_path(profile: BenchProfile) -> Dict[str, float]:
     # Best-of-3 each way: the speedup ratio gates CI, so one GC pause
     # or noisy neighbour during a single run must not fail the build.
@@ -212,10 +145,6 @@ def bench_packet_path(profile: BenchProfile) -> Dict[str, float]:
          for _ in range(3)),
         key=lambda r: r["wall_s"],
     )
-    burst = min(
-        (_packet_path_burst_once(profile.packet_count) for _ in range(3)),
-        key=lambda r: r["wall_s"],
-    )
     return {
         "packets": fast["packets"],
         "packets_per_s": round(fast["packets_per_s"], 1),
@@ -225,14 +154,6 @@ def bench_packet_path(profile: BenchProfile) -> Dict[str, float]:
         "slow_events_per_packet": round(slow["events"] / slow["packets"], 3),
         "speedup_vs_slow": round(fast["packets_per_s"] / slow["packets_per_s"], 3),
         "fused_fraction": round(fast["fused"] / fast["packets"], 4),
-        "burst_packets_per_s": round(burst["packets_per_s"], 1),
-        "burst_events_per_packet": round(
-            burst["events"] / burst["packets"], 6
-        ),
-        "burst_trains": burst["trains"],
-        "speedup_burst_vs_slow": round(
-            burst["packets_per_s"] / slow["packets_per_s"], 3
-        ),
     }
 
 
@@ -580,7 +501,8 @@ def check_against_baseline(
     fast-vs-slow speedup ratio, the events-per-packet budget, and the
     codec batched-vs-per-frame speedup ratios (same process, same
     seed, so hardware noise cancels).  Codec gates only engage when
-    the baseline records them (``BENCH_pr5.json`` onward).
+    the baseline records them (``BENCH_pr5.json`` onward); a gated
+    metric that a benchmark of the fresh run does not report fails.
     Returns a list of failure messages (empty = pass).
     """
     failures = []
@@ -612,13 +534,7 @@ def check_against_baseline(
     # The fabric gate follows the same shape: inline_efficiency is a
     # within-process ratio (raw cell loop vs scheduled+stored cells)
     # capped at parity, engaging from BENCH_pr6.json onward.
-    # The burst ratio compares the single-train bulk commit to the
-    # forced slow path in the same process; it is huge (hundreds) and
-    # wall-clock on the burst side is tiny, so it gets doubled
-    # tolerance against timer noise.  Engages from BENCH_pr8.json on.
     codec_gates = (
-        ("packet_path", "speedup_burst_vs_slow",
-         "burst-mode packet-path speedup", 2.0 * tolerance, None),
         ("audio_codec", "batched_speedup",
          "audio batched-encode speedup", tolerance, None),
         ("video_codec", "encode_batched_speedup",
@@ -632,6 +548,14 @@ def check_against_baseline(
         fresh_bench = fresh.get("benchmarks", {}).get(bench_name)
         base_bench = baseline.get("benchmarks", {}).get(bench_name)
         if fresh_bench is None or base_bench is None or key not in base_bench:
+            continue
+        if key not in fresh_bench:
+            # The baseline gates a metric this run no longer reports:
+            # a stale baseline or a removed benchmark, never a pass.
+            failures.append(
+                f"{label}: fresh {bench_name} run has no {key!r} metric "
+                "(the baseline gates it)"
+            )
             continue
         base_value = base_bench[key]
         if baseline_cap is not None:
@@ -652,8 +576,7 @@ def render_report(payload: dict) -> str:
     lines.append(f"benchmark suite ({profile} profile)")
     for name, result in payload.get("benchmarks", {}).items():
         parts = []
-        for key in ("packets_per_s", "burst_packets_per_s", "events_per_s",
-                    "speedup_vs_slow", "speedup_burst_vs_slow",
+        for key in ("packets_per_s", "events_per_s", "speedup_vs_slow",
                     "events_per_packet", "frames_per_s", "batched_speedup",
                     "encode_batched_speedup", "decode_batched_speedup",
                     "inline_cells_per_s", "inline_efficiency",

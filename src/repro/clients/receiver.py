@@ -11,7 +11,7 @@ video flow back to its sender through the platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from ..errors import SessionError
 from ..media.audio_codec import AudioCodec, AudioCodecConfig, AudioDecoder
@@ -25,13 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Fraction of a frame's fragments FEC/NACK recovery can absorb.
 DEFAULT_FEC_TOLERANCE = 0.2
-
-#: Process-wide default for deferred receiver decode (burst event
-#: core): park delivered frames and replay the batched decode at
-#: finalize.  Bit-identical either way; it only engages for watched
-#: flows with no per-frame sink, where decode outputs are unobservable
-#: until the recording is read.
-DEFER_DECODE_DEFAULT = True
 
 
 @dataclass
@@ -79,7 +72,6 @@ class ReceiverEngine:
         self.flow_stats: Dict[str, FlowStats] = {}
         self._reassemblers: Dict[str, Reassembler] = {}
         self._video_decoders: Dict[str, VideoDecoder] = {}
-        self._frame_sinks: Dict[str, Callable] = {}
         self._audio_decoders: Dict[str, AudioDecoder] = {}
         self._audio_frame_counts: Dict[str, int] = {}
         self._last_pli: Dict[str, float] = {}
@@ -90,7 +82,6 @@ class ReceiverEngine:
         self.flow_stats.clear()
         self._reassemblers.clear()
         self._video_decoders.clear()
-        self._frame_sinks.clear()
         self._audio_decoders.clear()
         self._audio_frame_counts.clear()
         self._last_pli.clear()
@@ -104,34 +95,22 @@ class ReceiverEngine:
         self,
         flow_id: str,
         spec: FrameSpec,
-        on_frame: Optional[Callable] = None,
         codec_batch: Optional[bool] = None,
         pixels: bool = True,
-        defer: Optional[bool] = None,
     ) -> VideoDecoder:
-        """Decode a video flow; ``on_frame(frame, time)`` per render.
+        """Decode a video flow.
 
-        ``pixels=False`` attaches a stats-only decoder (freeze/decoded
-        counts, no reconstructions) for flows nobody renders.
-
-        ``defer`` controls deferred decode (default
-        :data:`DEFER_DECODE_DEFAULT`): delivered frames are parked and
-        replayed through the batched decoder when outputs are first
-        read.  It only engages when nothing observes per-frame outputs
-        during the session -- a pixel decoder with no ``on_frame``
-        sink; with a sink (or stats-only) the eager path runs.
+        A pixel decoder defers: delivered frames are parked and replayed
+        through the batched decoder when outputs are first read (the
+        recorder reads them at finalize), bit-identical to decoding each
+        frame as it lands.  ``pixels=False`` attaches a stats-only
+        decoder (freeze/decoded counts, no reconstructions) for flows
+        nobody renders.
         """
-        effective_defer = (
-            (DEFER_DECODE_DEFAULT if defer is None else bool(defer))
-            and pixels
-            and on_frame is None
-        )
         decoder = VideoDecoder(
-            spec, batch=codec_batch, pixels=pixels, defer=effective_defer
+            spec, batch=codec_batch, pixels=pixels, defer=True
         )
         self._video_decoders[flow_id] = decoder
-        if on_frame is not None:
-            self._frame_sinks[flow_id] = on_frame
         return decoder
 
     def listen_audio(
@@ -210,19 +189,13 @@ class ReceiverEngine:
         reassembler = self._reassemblers.get(flow_id)
         if reassembler is None:
             decoder = self._video_decoders[flow_id]
-            sink = self._frame_sinks.get(flow_id)
-
-            def on_frame(encoded, _flow=flow_id, _decoder=decoder, _sink=sink):
-                frame = _decoder.decode(encoded)
-                if _sink is not None and frame is not None:
-                    _sink(frame, self._client.host.network.simulator.now)
 
             def on_lost(index, _flow=flow_id, _decoder=decoder):
                 _decoder.mark_lost(index)
                 self._request_keyframe(_flow)
 
             reassembler = Reassembler(
-                on_frame=on_frame,
+                on_frame=decoder.decode,
                 on_lost=on_lost,
                 fec_tolerance=DEFAULT_FEC_TOLERANCE,
             )

@@ -28,7 +28,6 @@ from ..media.frames import FrameSpec
 from ..media.padding import resize_frame
 from ..media.transport import fragment_frame
 from ..media.video_codec import VideoCodec, VideoCodecConfig
-from ..net.burst import PacketTrain
 from ..net.packet import Packet, PacketKind
 from ..platforms.base import PlatformModel, SessionWiring, StreamLayer
 from ..platforms.ratecontrol import RateContext
@@ -103,66 +102,21 @@ class _SenderBase:
         else:
             self.client.host.send(packet)
 
-    def _emit_train(
+    def _emit_paced(
         self,
         flow_id: str,
         kind: PacketKind,
         sizes,
         payloads,
         pace: float,
-    ) -> int:
-        """Emit one tick's paced packet run, in bulk when provably exact.
-
-        A steady-state tick emits ``len(sizes)`` packets at delays
-        ``index * pace`` -- an arithmetic train.  This offers the whole
-        train to the network's burst commit; on refusal (or when burst
-        mode is off) every packet goes through the exact legacy
-        :meth:`_emit` loop, so artifacts are bit-identical either way.
-        Returns the number of packets bulk-committed (0 on fallback).
-
-        The pre-checks are ordered cheapest first: in a live session
-        other hosts' events always sit inside the train window, so a
-        tick pays two comparisons here and takes the exact path.
-        """
-        n = len(sizes)
-        if n >= 2:
-            host = self.client.host
-            network = host.network
-            if network.burst:
-                simulator = self.simulator
-                now = simulator.now
-                last_emit = now + (n - 1) * pace
-                if (
-                    simulator.peek_time() > last_emit
-                    and last_emit <= simulator.horizon
-                ):
-                    seq = self._seq.get(flow_id, 0)
-                    times = now + np.arange(n) * pace
-                    train = PacketTrain(
-                        self.client.media_address,
-                        self.wiring.service_address[self.client.name],
-                        kind,
-                        flow_id,
-                        times,
-                        sizes,
-                        payloads,
-                        seq,
-                    )
-                    if host.send_train(train):
-                        self._seq[flow_id] = seq + n
-                        self.packets_sent += n
-                        self.bytes_sent += sum(sizes)
-                        return n
-        if payloads is None:
-            for index, size in enumerate(sizes):
-                self._emit(flow_id, size, kind, delay=index * pace)
-        else:
-            for index, size in enumerate(sizes):
-                self._emit(
-                    flow_id, size, kind,
-                    payload=payloads[index], delay=index * pace,
-                )
-        return 0
+    ) -> None:
+        """Emit one tick's packets, packet ``i`` at delay ``i * pace``."""
+        for index, size in enumerate(sizes):
+            self._emit(
+                flow_id, size, kind,
+                payload=None if payloads is None else payloads[index],
+                delay=index * pace,
+            )
 
     def _running(self) -> bool:
         return self._stop_at is None or self.simulator.now < self._stop_at
@@ -280,7 +234,7 @@ class VideoStreamer(_SenderBase):
             fragments = fragment_frame(encoded, wire_bytes, encoded.index)
             flow_id = self.wiring.video_flow(self.client.name, layer)
             pace = PACING_FRACTION * interval / max(len(fragments), 1)
-            self._emit_train(
+            self._emit_paced(
                 flow_id,
                 PacketKind.MEDIA_VIDEO,
                 [fragment.payload_bytes for fragment in fragments],
@@ -419,7 +373,7 @@ class ModelVideoStreamer(_SenderBase):
                 chunk = min(mtu, remaining) if index < fragments - 1 else remaining
                 sizes.append(max(chunk, 1))
                 remaining -= chunk
-            self._emit_train(flow_id, PacketKind.MEDIA_VIDEO, sizes, None, pace)
+            self._emit_paced(flow_id, PacketKind.MEDIA_VIDEO, sizes, None, pace)
         self._frame_index += 1
         self.frames_sent += 1
         return None
@@ -483,7 +437,7 @@ class AudioStreamer(_SenderBase):
         # frame is dropped, exactly as the per-frame loop broke early).
         usable = (len(batch) // frame_samples) * frame_samples
         encoded_frames = list(self.codec.encode(batch[:usable]))
-        self._emit_train(
+        self._emit_paced(
             flow_id,
             PacketKind.MEDIA_AUDIO,
             [encoded.size_bytes for encoded in encoded_frames],

@@ -77,12 +77,6 @@ class SessionConfig:
             follows :data:`repro.media.batching.BATCH_DEFAULT`.
             Batching is bit-identical either way -- this knob exists
             for the equivalence tests and for debugging.
-        defer_decode: Force deferred receiver decode on (True) or off
-            (False) for recorded video flows; ``None`` follows
-            :data:`repro.clients.receiver.DEFER_DECODE_DEFAULT`.
-            Deferral parks delivered frames and replays the batched
-            decode when the recording is read -- bit-identical either
-            way (same knob contract as ``codec_batch``).
         flash_period_s: Flash cadence for lag feeds.
         timelines: Optional per-client condition timelines (client name
             -> :class:`~repro.net.dynamics.ConditionTimeline`).  Each is
@@ -109,7 +103,6 @@ class SessionConfig:
     feed_seed: int = 0
     gop_size: int = 30
     codec_batch: Optional[bool] = None
-    defer_decode: Optional[bool] = None
     flash_period_s: float = 2.0
     normalize_wire_rates: Optional[bool] = None
     timelines: Optional[Dict[str, ConditionTimeline]] = None
@@ -661,7 +654,6 @@ class MeetingSession:
                     high_flow,
                     camera_spec,
                     codec_batch=config.codec_batch,
-                    defer=config.defer_decode,
                 )
                 recorder.start(
                     decoder,

@@ -10,7 +10,7 @@ caps) become frozen video and QoE loss in Figure 17.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, List, Optional, Sequence, Set, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Set, TypeVar
 
 from ..errors import MediaError
 from .audio_codec import EncodedAudioFrame
@@ -86,32 +86,6 @@ def fragment_frame(
         )
         remaining -= chunk
     return fragments
-
-
-def fragment_frames(
-    frames: Sequence[FrameT],
-    sizes: Sequence[int],
-    indices: Sequence[int],
-    mtu: int = DEFAULT_FRAGMENT_BYTES,
-) -> List[List[ChunkFragment[FrameT]]]:
-    """Fragment a burst of encoded frames in one pass.
-
-    The batch twin of :func:`fragment_frame` for multi-frame senders
-    (recorder-finalize-style bursts, ``encode_batch`` output): per
-    frame the produced fragments are exactly
-    ``fragment_frame(frame, size, index, mtu)``.  ``sizes`` is
-    explicit because wire sizes can differ from ``frame.size_bytes``
-    (the sender's wire-rate normalisation and clamping).
-    """
-    if not len(frames) == len(sizes) == len(indices):
-        raise MediaError(
-            f"frames/sizes/indices lengths differ: "
-            f"{len(frames)}/{len(sizes)}/{len(indices)}"
-        )
-    return [
-        fragment_frame(frame, size, index, mtu)
-        for frame, size, index in zip(frames, sizes, indices)
-    ]
 
 
 def fragment_video_frame(

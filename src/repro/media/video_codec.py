@@ -817,7 +817,7 @@ class VideoDecoder:
         return self.last_frame
 
     # ------------------------------------------------------------- #
-    # Deferred decode (burst event core, receiver side).
+    # Deferred decode (the receiver's path for recorded flows).
     # ------------------------------------------------------------- #
 
     def materialise(self) -> None:

@@ -51,32 +51,6 @@ _DIRECTION_CODE = {Direction.OUT: 0, Direction.IN: 1}
 _KIND_CODE = {kind: i for i, kind in enumerate(PacketKind)}
 
 
-class _CaptureBlock:
-    """One bulk-appended packet train, expanded into rows lazily.
-
-    Burst commits land a whole train in a single ``record_block`` call;
-    the O(n) conversion into per-packet row tuples is deferred to the
-    first query, where it merges into the same column-cache rebuild the
-    scalar path already pays.
-    """
-
-    __slots__ = ("timestamps", "direction", "src", "dst", "proto", "kind",
-                 "wire_bytes", "payload_sizes", "flow_id", "packet_id_start")
-
-    def __init__(self, timestamps, direction, src, dst, proto, kind,
-                 wire_bytes, payload_sizes, flow_id, packet_id_start) -> None:
-        self.timestamps = timestamps
-        self.direction = direction
-        self.src = src
-        self.dst = dst
-        self.proto = proto
-        self.kind = kind
-        self.wire_bytes = wire_bytes
-        self.payload_sizes = payload_sizes
-        self.flow_id = flow_id
-        self.packet_id_start = packet_id_start
-
-
 @dataclass(frozen=True)
 class CapturedPacket:
     """One record in a capture file.
@@ -141,12 +115,7 @@ class Capture:
 
     def __init__(self, host_name: str) -> None:
         self.host_name = host_name
-        self._flat: List[tuple] = []
-        # Records appended since the last flatten, in arrival order:
-        # plain row tuples interleaved with _CaptureBlock trains.  Kept
-        # separate so bulk appends stay O(1) on the hot path.
-        self._deferred: List[object] = []
-        self._count = 0
+        self._rows: List[tuple] = []
         self._running = True
         self._cols_len = -1
         self._timestamps: Optional[np.ndarray] = None
@@ -154,35 +123,8 @@ class Capture:
         self._direction_codes: Optional[np.ndarray] = None
         self._kind_codes: Optional[np.ndarray] = None
 
-    @property
-    def _rows(self) -> List[tuple]:
-        """The flat row store, expanding any pending bulk blocks."""
-        if self._deferred:
-            self._flatten()
-        return self._flat
-
-    def _flatten(self) -> None:
-        append = self._flat.append
-        for entry in self._deferred:
-            if type(entry) is tuple:
-                append(entry)
-                continue
-            direction = entry.direction
-            src = entry.src
-            dst = entry.dst
-            proto = entry.proto
-            kind = entry.kind
-            wires = entry.wire_bytes
-            sizes = entry.payload_sizes
-            flow = entry.flow_id
-            pid = entry.packet_id_start
-            for i, stamp in enumerate(entry.timestamps.tolist()):
-                append((stamp, direction, src, dst, proto, kind,
-                        wires[i], sizes[i], flow, pid + i))
-        self._deferred.clear()
-
     def __len__(self) -> int:
-        return self._count
+        return len(self._rows)
 
     def __iter__(self):
         return (self._materialise(row) for row in self._rows)
@@ -203,7 +145,7 @@ class Capture:
         """Append one packet record (called by the owning host)."""
         if not self._running:
             return
-        row = (
+        self._rows.append((
             local_time,
             direction,
             packet.src,
@@ -214,41 +156,7 @@ class Capture:
             packet.payload_bytes,
             packet.flow_id,
             packet.packet_id,
-        )
-        if self._deferred:
-            self._deferred.append(row)
-        else:
-            self._flat.append(row)
-        self._count += 1
-
-    def record_block(
-        self,
-        direction: Direction,
-        src,
-        dst,
-        proto: Protocol,
-        kind: PacketKind,
-        local_times: np.ndarray,
-        wire_bytes,
-        payload_sizes,
-        flow_id: str,
-        packet_id_start: int,
-    ) -> None:
-        """Append a whole packet train in one call (burst commits).
-
-        ``local_times`` is a float64 array of host-local timestamps;
-        ``wire_bytes``/``payload_sizes`` are per-packet int sequences.
-        Packet ``i`` of the train gets id ``packet_id_start + i``.  The
-        expansion into row tuples is deferred until the next query, so
-        the append itself is O(1).
-        """
-        if not self._running:
-            return
-        self._deferred.append(_CaptureBlock(
-            local_times, direction, src, dst, proto, kind,
-            wire_bytes, payload_sizes, flow_id, packet_id_start,
         ))
-        self._count += len(payload_sizes)
 
     # ----------------------------------------------------------------- #
     # Columnar access.
@@ -286,7 +194,7 @@ class Capture:
 
     def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(timestamps, payloads, direction codes, kind codes) arrays."""
-        if self._cols_len != self._count:
+        if self._cols_len != len(self._rows):
             self._refresh_columns()
         return (
             self._timestamps,
@@ -302,7 +210,7 @@ class Capture:
     ) -> np.ndarray:
         """Boolean mask of rows matching a direction/kind filter."""
         _, _, dir_codes, kind_codes = self._columns()
-        mask = np.ones(self._count, dtype=bool)
+        mask = np.ones(len(self._rows), dtype=bool)
         if direction is not None:
             mask &= dir_codes == _DIRECTION_CODE[direction]
         if kinds is not None:

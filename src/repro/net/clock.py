@@ -37,16 +37,6 @@ class Clock:
         """Map true simulation time to this host's local timestamp."""
         return true_time + self.offset_s + self.drift_ppm * 1e-6 * true_time
 
-    def local_times(self, true_times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`local_time` over an array of true times.
-
-        The expression mirrors the scalar form operation for operation
-        (same left-to-right IEEE evaluation), so each element is
-        bit-identical to a scalar ``local_time`` call -- burst captures
-        depend on that.
-        """
-        return true_times + self.offset_s + self.drift_ppm * 1e-6 * true_times
-
     def error_at(self, true_time: float) -> float:
         """Absolute clock error at a given true time."""
         return self.local_time(true_time) - true_time

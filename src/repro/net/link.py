@@ -47,8 +47,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, TYPE_CHECKING, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..units import gbps
 from .shaper import ShaperStats, TokenBucketShaper
@@ -149,44 +147,6 @@ class AccessLink:
         delivery = start + wire_bytes * 8.0 / self.downlink_bps
         self._downlink_free = delivery
         return delivery
-
-    # ------------------------------------------------------------- #
-    # Batch reservations (burst commits).
-    # ------------------------------------------------------------- #
-    #
-    # Both helpers are all-or-nothing: they vectorise the reservation
-    # only when the serialiser is idle at the first packet and no
-    # packet's transmission overlaps the next packet's arrival, i.e.
-    # when the scalar loop would have taken ``start = now`` on every
-    # iteration.  Under that precondition the array expression
-    # ``times + wire_bytes * 8.0 / rate`` is operation-for-operation
-    # the scalar arithmetic, so results are bit-identical.  Any
-    # backlog, overlap or pending deferred reservation returns ``None``
-    # and the caller must run the exact per-packet path.
-
-    def reserve_uplink_batch(
-        self, times: "np.ndarray", wire_bytes: "np.ndarray"
-    ) -> "Optional[np.ndarray]":
-        """Reserve a whole train on the uplink, or ``None`` to refuse."""
-        if self._uplink_free > times[0]:
-            return None
-        departures = times + wire_bytes * 8.0 / self.uplink_bps
-        if len(times) > 1 and bool(np.any(departures[:-1] > times[1:])):
-            return None
-        self._uplink_free = float(departures[-1])
-        return departures
-
-    def reserve_downlink_batch(
-        self, arrivals: "np.ndarray", wire_bytes: "np.ndarray"
-    ) -> "Optional[np.ndarray]":
-        """Reserve a whole train on the downlink, or ``None`` to refuse."""
-        if self._pending_downlink or self._downlink_free > arrivals[0]:
-            return None
-        deliveries = arrivals + wire_bytes * 8.0 / self.downlink_bps
-        if len(arrivals) > 1 and bool(np.any(deliveries[:-1] > arrivals[1:])):
-            return None
-        self._downlink_free = float(deliveries[-1])
-        return deliveries
 
     # ------------------------------------------------------------- #
     # Fast-lane pending arrivals (deferred downlink reservations).

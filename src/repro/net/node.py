@@ -17,13 +17,10 @@ from .capture import Capture, Direction
 from .clock import Clock, PERFECT_CLOCK
 from .geo import GeoPoint
 from .link import AccessLink
-from .packet import Packet, Protocol
+from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .burst import PacketTrain
     from .routing import Network
-
-_UDP = Protocol.UDP
 
 #: Signature of a bound port handler.
 PacketHandler = Callable[[Packet, "Host"], None]
@@ -141,53 +138,6 @@ class Host:
             for capture in self._captures:
                 capture.record(packet, Direction.OUT, local)
         network.transmit(packet)
-
-    def send_train(self, train: "PacketTrain") -> int:
-        """Offer a packet train for an all-or-nothing burst commit.
-
-        Returns the number of packets committed, or 0 when the network
-        refused the train -- nothing was sent and the caller must fall
-        back to per-packet :meth:`send` calls (the exact path).
-        """
-        if train.src.ip != self.ip:
-            raise SimulationError(
-                f"{self.name} cannot send train with src {train.src.ip}"
-            )
-        return self._network.transmit_train(self, train)
-
-    def _commit_train_sent(
-        self, train: "PacketTrain", wire_bytes: list, packet_id_start: int
-    ) -> None:
-        """Sender-side accounting for a burst-committed train."""
-        self.packets_sent += len(wire_bytes)
-        if self._captures:
-            local = self.clock.local_times(train.times)
-            for capture in self._captures:
-                capture.record_block(
-                    Direction.OUT, train.src, train.dst, _UDP, train.kind,
-                    local, wire_bytes, train.payload_sizes, train.flow_id,
-                    packet_id_start,
-                )
-
-    def _deliver_train(
-        self,
-        train: "PacketTrain",
-        deliveries,
-        wire_bytes: list,
-        packet_id_start: int,
-        handler,
-    ) -> None:
-        """Receiver-side accounting + handoff for a burst commit."""
-        self.packets_received += len(wire_bytes)
-        if self._captures:
-            local = self.clock.local_times(deliveries)
-            for capture in self._captures:
-                capture.record_block(
-                    Direction.IN, train.src, train.dst, _UDP, train.kind,
-                    local, wire_bytes, train.payload_sizes, train.flow_id,
-                    packet_id_start,
-                )
-        handler.on_train(train, deliveries, self)
 
     def deliver(self, packet: Packet) -> None:
         """Called by the fabric when a packet arrives for this host."""

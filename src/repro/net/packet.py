@@ -51,20 +51,6 @@ class PacketKind(str, enum.Enum):
 
 _packet_ids = itertools.count(1)
 
-
-def reserve_packet_ids(count: int) -> int:
-    """Claim ``count`` consecutive packet ids and return the first.
-
-    Burst commits account for whole trains without constructing
-    :class:`Packet` objects; reserving the id block keeps the global
-    counter exactly where the equivalent per-packet constructor calls
-    would have left it, so ids stay bit-identical across code paths.
-    """
-    global _packet_ids
-    start = next(_packet_ids)
-    _packet_ids = itertools.count(start + count)
-    return start
-
 #: Hoisted enum singleton: ``Packet.fast`` runs per media fragment and
 #: the class-attribute chain is measurable there.
 _UDP = Protocol.UDP

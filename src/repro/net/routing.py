@@ -58,23 +58,16 @@ import numpy as np
 
 from ..errors import ConfigurationError, RoutingError
 from .address import IpAllocator
-from .burst import PacketTrain
 from .clock import Clock, PERFECT_CLOCK
 from .geo import GeoPoint, LatencyModel
 from .link import AccessLink
 from .node import Host
-from .packet import HEADER_OVERHEAD_BYTES, Packet, reserve_packet_ids
+from .packet import Packet
 from .simulator import Simulator
 
 #: Process-wide default for new networks; the bit-identity tests (and
 #: anyone debugging a suspected fast-lane divergence) flip this off.
 FAST_LANE_DEFAULT = True
-
-#: Process-wide default for the burst event core (train commits).  Like
-#: the fast lane, results are bit-identical either way: a train is only
-#: accepted in bulk when the vectorised arithmetic provably matches the
-#: per-packet cascade, and every ambiguous train is refused wholesale.
-BURST_DEFAULT = True
 
 
 class Network:
@@ -99,7 +92,6 @@ class Network:
         rng: Optional[np.random.Generator] = None,
         base_loss_rate: float = 0.0,
         fast_lane: Optional[bool] = None,
-        burst: Optional[bool] = None,
     ) -> None:
         if not 0.0 <= base_loss_rate < 1.0:
             raise ConfigurationError(f"loss rate out of range: {base_loss_rate}")
@@ -110,7 +102,6 @@ class Network:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.base_loss_rate = base_loss_rate
         self.fast_lane = FAST_LANE_DEFAULT if fast_lane is None else fast_lane
-        self.burst = BURST_DEFAULT if burst is None else burst
         self._hosts_by_ip: Dict[str, Host] = {}
         self._hosts_by_name: Dict[str, Host] = {}
         self._ip_allocator = IpAllocator()
@@ -122,8 +113,9 @@ class Network:
         self.fast_lane_sender_fused = 0
         self.fast_lane_rearmed = 0
         self.fast_lane_epoch_misses = 0
+        #: Packet trains committed in bulk.  Every packet travels on its
+        #: own, so this stays 0; it is kept for readers of the counter.
         self.burst_trains = 0
-        self.burst_packets = 0
 
     # ----------------------------------------------------------------- #
     # Topology.
@@ -312,104 +304,6 @@ class Network:
                     self._schedule_fused(packet, destination, arrival)
                     return
         simulator.schedule_at(departure, self._propagate, packet, source, destination)
-
-    def transmit_train(self, source: Host, train: PacketTrain) -> int:
-        """Attempt an all-or-nothing burst commit of a packet train.
-
-        Returns ``len(train)`` when the whole train was executed as one
-        array-level commit (per-packet departures, arrivals, downlink
-        reservations, captures and the receiver handoff all vectorised,
-        zero heap events), or ``0`` when any eligibility check failed --
-        in which case *nothing* was mutated and the caller must emit
-        the train through the exact per-packet path.
-
-        The eligibility checks collectively prove the vectorised
-        arithmetic is bit-identical to the per-packet cascade: a stable
-        draw-free fusion plan (no RNG anywhere on the chain), idle and
-        non-overlapping serialisers on both ends (every scalar
-        reservation would start at the packet's own timestamp), no
-        scripted condition change inside the flight window, no other
-        heap event at or before the last delivery (atomicity: nothing
-        can mutate links or interleave with the cascade's ordering),
-        and the last delivery inside the run horizon (packets the slow
-        path would leave in flight stay in flight).
-        """
-        n = len(train)
-        if not self.burst or n < 2:
-            return 0
-        if not self.fast_lane or self.base_loss_rate != 0.0:
-            return 0
-        destination = self._hosts_by_ip.get(train.dst.ip)
-        if destination is None or destination is source:
-            return 0
-        handler = destination._handlers.get(train.dst.port)
-        if handler is None or not hasattr(handler, "on_train"):
-            return 0
-        source_link = source.link
-        destination_link = destination.link
-        plan = source.fast_plans.get(train.dst.ip)
-        if (
-            plan is None
-            or plan[0] != source_link.conditions_epoch
-            or plan[1] != destination_link.conditions_epoch
-        ):
-            plan = self._fast_plan(source, destination)
-        if not plan[2]:
-            return 0
-        simulator = self.simulator
-        now = simulator.now
-        times = train.times
-        if times[0] < now:
-            return 0
-        sizes = np.asarray(train.payload_sizes, dtype=np.int64)
-        wires_arr = sizes + HEADER_OVERHEAD_BYTES
-        # Mirrors reserve_uplink / flush_pending_downlink arithmetic
-        # operation for operation (wire * 8.0 / rate, added to the
-        # start time), so each element is bit-identical to the scalar
-        # cascade's result under the idle-serialiser preconditions.
-        departures = times + wires_arr * 8.0 / source_link.uplink_bps
-        arrivals = departures + plan[3]
-        deliveries = arrivals + wires_arr * 8.0 / destination_link.downlink_bps
-        last_delivery = float(deliveries[-1])
-        if source_link._uplink_free > times[0] or bool(
-            np.any(departures[:-1] > times[1:])
-        ):
-            return 0
-        if destination_link._pending_downlink or (
-            destination_link._downlink_free > arrivals[0]
-        ) or bool(np.any(deliveries[:-1] > arrivals[1:])):
-            return 0
-        if source_link._scheduled_changes and not source_link.quiet_through(
-            now, float(departures[-1])
-        ):
-            return 0
-        if (
-            destination_link._scheduled_changes
-            and not destination_link.quiet_through(now, last_delivery)
-        ):
-            return 0
-        # Atomicity: any event at or before the last delivery could
-        # mutate link state mid-train or must order between deliveries
-        # (an event already queued at a tied time has a lower sequence
-        # number than anything the cascade would push, so it fires
-        # first there -- eager bulk delivery would invert that).
-        if simulator.peek_time() <= last_delivery:
-            return 0
-        if last_delivery > simulator.horizon:
-            return 0
-        source_link._uplink_free = float(departures[-1])
-        destination_link._downlink_free = last_delivery
-        packet_id_start = reserve_packet_ids(n)
-        wires = wires_arr.tolist()
-        self.fast_lane_sender_fused += n
-        self.fast_lane_fused += n
-        self.burst_trains += 1
-        self.burst_packets += n
-        source._commit_train_sent(train, wires, packet_id_start)
-        destination._deliver_train(
-            train, deliveries, wires, packet_id_start, handler
-        )
-        return n
 
     def _propagate(self, packet: Packet, source: Host, destination: Host) -> None:
         rng = self.rng

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..units import bytes_to_bits, ms
 
@@ -146,40 +144,6 @@ class TokenBucketShaper:
         if release > now:
             self.stats.delayed += 1
         return release
-
-    def submit_batch(
-        self, times: "np.ndarray", wire_bytes: "np.ndarray"
-    ) -> "Optional[np.ndarray]":
-        """Offer a whole packet train; all-or-nothing vectorised debit.
-
-        Accepts only when the bucket stays full across the train --
-        the virtual clock never constrains any packet's start, which
-        requires ``_virtual_finish <= times[0] - burst_seconds`` and
-        each packet's service to finish before the next packet's
-        credit window opens.  Under that precondition every scalar
-        :meth:`submit` would have taken ``start = now - burst_seconds``
-        and the array arithmetic reproduces it bit-for-bit.  Returns
-        the per-packet release times, or ``None`` when the caller must
-        fall back to exact per-packet submission (queueing, drops or
-        any ambiguity).
-        """
-        burst_seconds = self.burst_seconds
-        if self._virtual_finish > times[0] - burst_seconds:
-            return None
-        services = wire_bytes * 8.0 / self.rate_bps
-        starts = times - burst_seconds
-        finishes = starts + services
-        if len(times) > 1 and bool(
-            np.any(finishes[:-1] > times[1:] - burst_seconds)
-        ):
-            return None
-        releases = np.maximum(times, finishes)
-        self._virtual_finish = float(finishes[-1])
-        n = len(times)
-        self.stats.accepted += n
-        self.stats.bytes_accepted += int(wire_bytes.sum())
-        self.stats.delayed += int(np.count_nonzero(releases > times))
-        return releases
 
     # ------------------------------------------------------------- #
     # Mid-flight mutation (the condition-timeline hooks).

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -85,12 +84,6 @@ class Simulator:
         self._now = 0.0
         self._running = False
         self._processed = 0
-        # Time up to which the current ``run`` call is allowed to
-        # execute events.  Burst commits consult this so packets whose
-        # deliveries land past the horizon stay in flight, exactly as
-        # their per-packet heap events would.  Outside ``run`` it
-        # equals ``now`` (nothing may execute).
-        self._horizon = 0.0
 
     @property
     def now(self) -> float:
@@ -106,19 +99,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still queued."""
         return len(self._queue)
-
-    @property
-    def horizon(self) -> float:
-        """Latest time the active ``run`` call may execute events at.
-
-        ``inf`` while draining, the ``until`` bound while running to a
-        horizon, and the current time when no run is active.
-        """
-        return self._horizon
-
-    def peek_time(self) -> float:
-        """Time of the earliest queued event, or ``inf`` when empty."""
-        return self._queue[0][0] if self._queue else math.inf
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -208,7 +188,6 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
-        self._horizon = math.inf if until is None else until
         executed = 0
         # The loop body runs tens of millions of times per campaign:
         # bind the queue and heappop once instead of re-resolving the
@@ -246,7 +225,6 @@ class Simulator:
         finally:
             self._processed += executed
             self._running = False
-            self._horizon = self._now
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` seconds of simulated time."""

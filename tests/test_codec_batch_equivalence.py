@@ -20,6 +20,7 @@ import pytest
 
 import repro.media.batching as batching
 import repro.net.packet as packet_mod
+from repro.clients.recorder import DesktopRecorder
 from repro.core.session import SessionConfig
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.errors import CodecError
@@ -31,7 +32,6 @@ from repro.media.audio_codec import (
 )
 from repro.media.feeds import HighMotionFeed, LowMotionFeed, StaticFeed
 from repro.media.frames import FrameSpec
-from repro.media.transport import fragment_frame, fragment_frames
 from repro.media.video_codec import (
     BLOCK,
     VideoCodec,
@@ -472,6 +472,53 @@ class TestDeferredDecodeEquivalence:
         assert VideoDecoder(SPEC, pixels=True, defer=True).defer
 
 
+class TestDeferredRecorder:
+    """A desktop recorder on a deferred decoder vs one on an eager one.
+
+    The deferred recorder parks a decoder event count per tick and
+    resolves it at finalize; it must record exactly what the eager
+    recorder grabbed live -- through black pre-roll, a transport loss,
+    the freeze after it and the keyframe resync.
+    """
+
+    LOST = 8  # GOP 6: frames 9-11 freeze, keyframe 12 resyncs
+
+    def _record(self, defer: bool) -> DesktopRecorder:
+        testbed = Testbed(TestbedConfig(seed=11))
+        client = testbed.add_vm("US-East")
+        simulator = testbed.network.simulator
+        codec = VideoCodec(SPEC, VideoCodecConfig(gop_size=6),
+                           target_bps=300_000)
+        stream = codec.encode_batch(np.stack(LowMotionFeed(SPEC).frames(24)))
+        decoder = VideoDecoder(SPEC, defer=defer)
+        assert decoder.defer == defer
+        # Twice the stream rate, so most content is grabbed twice.
+        recorder = DesktopRecorder(client, SPEC, pad_fraction=0.15,
+                                   record_fps=2 * SPEC.fps)
+        recorder.start(decoder, duration_s=25 / SPEC.fps)
+        for encoded in stream:
+            # Deliveries sit between recorder ticks, after one
+            # tick of black pre-roll.
+            when = (encoded.index + 1.25) / SPEC.fps
+            if encoded.index == self.LOST:
+                simulator.schedule_at(when, decoder.mark_lost, encoded.index)
+            else:
+                simulator.schedule_at(when, decoder.decode, encoded)
+        simulator.run()
+        assert decoder.frames_frozen == 4
+        return recorder
+
+    def test_deferred_recording_bit_identical(self):
+        deferred = self._record(defer=True)
+        eager = self._record(defer=False)
+        assert deferred.timestamps == eager.timestamps
+        assert deferred.stale_flags == eager.stale_flags
+        assert True in deferred.stale_flags and False in deferred.stale_flags
+        assert len(deferred.frames) == len(eager.frames) == 50
+        for got, want in zip(deferred.frames, eager.frames):
+            assert np.array_equal(got, want)
+
+
 class TestBlockKernelProperties:
     def test_stacked_pad_matches_per_frame(self):
         rng = np.random.default_rng(1)
@@ -532,24 +579,6 @@ class TestBlockKernelProperties:
         assert settled.size_bytes == int(np.ceil((num_blocks + 256) / 8.0))
 
 
-class TestTransportBatch:
-    def test_fragment_frames_matches_per_frame(self):
-        frames = ["a", "b", "c"]
-        sizes = [2500, 0, 1200]
-        indices = [7, 8, 9]
-        batched = fragment_frames(frames, sizes, indices)
-        for frame, size, index, fragments in zip(
-            frames, sizes, indices, batched
-        ):
-            assert fragments == fragment_frame(frame, size, index)
-
-    def test_fragment_frames_length_mismatch(self):
-        from repro.errors import MediaError
-
-        with pytest.raises(MediaError):
-            fragment_frames(["a"], [1, 2], [0])
-
-
 # --------------------------------------------------------------------- #
 # End-to-end: one session, batching on vs off.
 # --------------------------------------------------------------------- #
@@ -558,7 +587,7 @@ class TestTransportBatch:
 CLIENTS = ("US-East", "US-East2", "US-Central")
 
 
-def _run_session(codec_batch: bool, defer=None):
+def _run_session(codec_batch: bool):
     """One short A/V session; returns comparable artifact signatures."""
     packet_mod._packet_ids = itertools.count(1)
     testbed = Testbed(TestbedConfig(seed=11))
@@ -576,7 +605,6 @@ def _run_session(codec_batch: bool, defer=None):
         session_index=0,
         feed_seed=11,
         codec_batch=codec_batch,
-        defer_decode=defer,
     )
     artifacts = testbed.run_session("zoom", list(CLIENTS), "US-East", config)
     captures = {
@@ -608,17 +636,6 @@ class TestSessionRegression:
     def test_batching_on_off_bit_identical(self):
         on = _run_session(True)
         off = _run_session(False)
-        assert on["captures"] == off["captures"]
-        assert on["qoe_inputs"] == off["qoe_inputs"]
-        assert on["waveforms"] == off["waveforms"]
-        assert on["rng_state"] == off["rng_state"]
-        assert on["now"] == off["now"]
-        assert on["rates"] == off["rates"]
-
-    def test_defer_decode_on_off_bit_identical(self):
-        """Parking receiver decodes must not move a single artifact."""
-        on = _run_session(True, defer=True)
-        off = _run_session(True, defer=False)
         assert on["captures"] == off["captures"]
         assert on["qoe_inputs"] == off["qoe_inputs"]
         assert on["waveforms"] == off["waveforms"]

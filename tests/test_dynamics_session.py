@@ -184,135 +184,6 @@ class TestPhaseSegmentedSession:
             assert 0.0 <= fraction <= 1.0
 
 
-class TestBurstAtTimelineBoundaries:
-    """Burst trains vs ``arm_timeline`` phase flips.
-
-    A ``schedule_periodic`` emitter hands the network one train per
-    tick.  Trains whose flight window is clear of every scheduled
-    boundary may take the bulk commit; a train *spanning* a phase flip
-    must be refused and fall back to the exact per-packet path (its
-    packets straddle the condition change, so only the event cascade
-    orders them correctly).  Burst on vs off must be bit-identical
-    throughout, and the bulk tier must re-engage after the flip with a
-    rebuilt fusion plan.
-    """
-
-    PACE = 1e-4
-    TRAIN = 200
-
-    def _drive(self, burst: bool):
-        import itertools
-
-        import repro.net.packet as packet_mod
-        from repro.net.burst import PacketTrain
-        from repro.net.dynamics import arm_timeline
-        from repro.net.geo import GeoPoint, LatencyModel
-        from repro.net.packet import Packet, PacketKind
-        from repro.net.routing import Network
-        from repro.net.simulator import Simulator
-
-        packet_mod._packet_ids = itertools.count(1)
-        simulator = Simulator()
-        network = Network(
-            simulator=simulator,
-            latency_model=LatencyModel(jitter_fraction=0.0),
-            rng=np.random.default_rng(0),
-            fast_lane=True,
-            burst=burst,
-        )
-        tx = network.add_host("tx", GeoPoint("tx", 40.0, -74.0))
-        rx = network.add_host("rx", GeoPoint("rx", 41.0, -87.0))
-        tx.start_capture()
-        rx.start_capture()
-        delivered = []
-
-        class Sink:
-            def __call__(self, packet, host):
-                delivered.append((simulator.now, packet.payload_bytes))
-
-            def on_train(self, train, deliveries, host):
-                delivered.extend(
-                    (t, size)
-                    for t, size in zip(deliveries.tolist(),
-                                       train.payload_sizes)
-                )
-
-        rx.bind(5000, Sink())
-        src = tx.address(4000)
-        dst = rx.address(5000)
-        # Phase flip at t=0.05 (a 5 ms latency adder), restored at
-        # t=0.07 -- both boundaries land inside the 0.04 tick's train
-        # window (emissions 0.04..0.06, deliveries ~10 ms later).
-        arm_timeline(
-            simulator,
-            tx.link,
-            constant_timeline(0.02, extra_latency_s=0.005),
-            media_start_s=0.05,
-        )
-        accepted = []
-        seq = [0]
-
-        def emit_tick():
-            if simulator.now >= 0.12:
-                return False
-            times = simulator.now + np.arange(self.TRAIN) * self.PACE
-            start = seq[0]
-            seq[0] += self.TRAIN
-            sent = 0
-            if network.burst:
-                train = PacketTrain(
-                    src, dst, PacketKind.MEDIA_VIDEO, "f", times,
-                    [900] * self.TRAIN, seq_start=start,
-                )
-                sent = tx.send_train(train)
-            if sent:
-                accepted.append(simulator.now)
-                return None
-            # Exact per-packet fallback, as the streamers do it.
-            for i in range(self.TRAIN):
-                simulator.schedule_at(
-                    float(times[i]),
-                    lambda s=start + i: tx.send(
-                        Packet.fast(src, dst, 900, PacketKind.MEDIA_VIDEO,
-                                    "f", seq=s)
-                    ),
-                )
-            return None
-
-        simulator.schedule_at(
-            0.0, lambda: simulator.schedule_periodic(None, emit_tick, rate=25)
-        )
-        simulator.run()
-        rows = {
-            "tx": [tuple(row) for row in tx._captures[0]._rows],
-            "rx": [tuple(row) for row in rx._captures[0]._rows],
-        }
-        return {
-            "delivered": delivered,
-            "rows": rows,
-            "accepted": accepted,
-            "network": network,
-        }
-
-    def test_spanning_train_splits_to_slow_path_exactly(self):
-        on = self._drive(True)
-        off = self._drive(False)
-        # The quiet trains (ticks 0 and 0.08) bulk-commit; the tick
-        # 0.04 train spans the flip and must take the per-packet path.
-        assert on["accepted"] == [0.0, pytest.approx(0.08)]
-        assert on["network"].burst_trains == 2
-        assert on["network"].burst_packets == 2 * self.TRAIN
-        assert off["network"].burst_trains == 0
-        # Bit-identical either way -- including the packets that
-        # crossed the boundary and picked up the phase's latency adder.
-        assert on["delivered"] == off["delivered"]
-        assert on["rows"] == off["rows"]
-        # The flip visibly moved deliveries: packets in the phase
-        # window arrive with the extra 5 ms.
-        in_phase = [t for t, _ in on["delivered"] if 0.055 < t < 0.075]
-        assert in_phase, "no deliveries landed inside the phase window"
-
-
 class TestSegmentSeriesByPhase:
     def test_means_per_window(self):
         windows = [

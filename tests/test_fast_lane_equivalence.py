@@ -32,18 +32,13 @@ CLIENTS = ("US-East", "US-East2", "US-Central")
 @pytest.fixture(autouse=True)
 def _restore_fast_lane_default():
     original = routing.FAST_LANE_DEFAULT
-    original_burst = routing.BURST_DEFAULT
     yield
     routing.FAST_LANE_DEFAULT = original
-    routing.BURST_DEFAULT = original_burst
 
 
-def _run_session(fast_lane: bool, timeline=None, probes: bool = True,
-                 burst=None):
+def _run_session(fast_lane: bool, timeline=None, probes: bool = True):
     """One full session; returns comparable artifact signatures."""
     routing.FAST_LANE_DEFAULT = fast_lane
-    if burst is not None:
-        routing.BURST_DEFAULT = burst
     # Packet ids are process-global; reset so runs are comparable.
     packet_mod._packet_ids = itertools.count(1)
     testbed = Testbed(TestbedConfig(seed=11))
@@ -80,8 +75,6 @@ def _run_session(fast_lane: bool, timeline=None, probes: bool = True,
         "epoch_misses": network.fast_lane_epoch_misses,
         "shaper_dropped": network.packets_shaper_dropped,
         "condition_lost": network.packets_condition_lost,
-        "burst_trains": network.burst_trains,
-        "burst_packets": network.burst_packets,
     }
 
 
@@ -205,10 +198,9 @@ class TestFullFusion:
         assert fast_net.fast_lane_rearmed > 0
 
 
-def _run_model_session(burst: bool):
-    """A 6-party size-modelled (SFU fan-out) session, burst on or off."""
-    routing.FAST_LANE_DEFAULT = True
-    routing.BURST_DEFAULT = burst
+def _run_model_session(fast_lane: bool):
+    """A 6-party size-modelled (SFU fan-out) session."""
+    routing.FAST_LANE_DEFAULT = fast_lane
     packet_mod._packet_ids = itertools.count(1)
     names = ["US-East", "US-East2", "US-East3",
              "US-Central", "US-Central2", "US-West"]
@@ -237,170 +229,20 @@ def _run_model_session(burst: bool):
         "now": network.simulator.now,
         "rates": artifacts.rate_summary(),
         "packets": sum(host.packets_sent for host in network.hosts()),
+        "fused": network.fast_lane_fused,
     }
 
 
-class TestBurstSessions:
-    """Burst mode on vs off across full sessions: bit-identical artifacts.
+class TestModelSession:
+    """SFU fan-out: relay copies on the fused path match the slow path."""
 
-    Inside a live session the bulk tier is expected to refuse trains
-    whenever anything could interleave (receiver closures, competing
-    heap events, timeline flips) -- the contract under test is that
-    flipping :data:`repro.net.routing.BURST_DEFAULT` never changes a
-    single capture row, QoE input byte, or RNG draw.
-    """
-
-    def test_static_session_burst_identical(self):
-        on = _run_session(True, burst=True)
-        off = _run_session(True, burst=False)
-        _assert_identical(on, off)
-        assert off["burst_trains"] == 0
-
-    def test_handover_session_burst_identical(self):
-        timeline = handover_timeline(3.0, 3.0, outage_s=0.5)
-        on = _run_session(True, timeline=timeline, burst=True)
-        off = _run_session(True, timeline=timeline, burst=False)
-        _assert_identical(on, off)
-
-    def test_ramp_session_burst_identical(self):
-        timeline = bandwidth_ramp_timeline(
-            [mbps(4), mbps(1), mbps(0.5), mbps(2)], step_s=1.5
-        )
-        on = _run_session(True, timeline=timeline, burst=True)
-        off = _run_session(True, timeline=timeline, burst=False)
-        _assert_identical(on, off)
-
-    def test_model_session_burst_identical(self):
-        on = _run_model_session(True)
-        off = _run_model_session(False)
-        assert on["captures"] == off["captures"]
-        assert on["rng_state"] == off["rng_state"]
-        assert on["now"] == off["now"]
-        assert on["rates"] == off["rates"]
-        assert on["packets"] == off["packets"]
-
-
-class TestBurstCommit:
-    """The array-level bulk tier vs the exact per-packet loop."""
-
-    def _drive(self, mode: str, packets: int = 400, downlink_bps=None):
-        """``mode``: 'train' (bulk commit) or 'loop' (per-packet sends)."""
-        import numpy as np
-
-        from repro.net.burst import PacketTrain
-        from repro.net.link import AccessLink
-        from repro.net.simulator import Simulator
-
-        packet_mod._packet_ids = itertools.count(1)
-        simulator = Simulator()
-        network = Network(
-            simulator=simulator,
-            latency_model=LatencyModel(jitter_fraction=0.0),
-            rng=np.random.default_rng(0),
-            fast_lane=True,
-            burst=True,
-        )
-        tx = network.add_host("tx", GeoPoint("tx", 40.0, -74.0))
-        rx_link = (
-            None if downlink_bps is None
-            else AccessLink(downlink_bps=downlink_bps)
-        )
-        rx = network.add_host("rx", GeoPoint("rx", 41.0, -87.0), link=rx_link)
-        tx.start_capture()
-        rx.start_capture()
-        delivered = []
-
-        class Sink:
-            def __call__(self, packet, host):
-                delivered.append((simulator.now, packet.payload_bytes))
-
-            def on_train(self, train, deliveries, host):
-                delivered.extend(
-                    (t, size)
-                    for t, size in zip(deliveries.tolist(),
-                                       train.payload_sizes)
-                )
-
-        rx.bind(5000, Sink())
-        src = tx.address(4000)
-        dst = rx.address(5000)
-        interval = 5e-5
-        sizes = [1200] * packets
-        accepted = []
-
-        def emit_train():
-            times = simulator.now + np.arange(packets) * interval
-            train = PacketTrain(src, dst, PacketKind.MEDIA_VIDEO, "f",
-                                times, sizes, seq_start=0)
-            accepted.append(tx.send_train(train))
-
-        def emit_loop():
-            for i in range(packets):
-                simulator.schedule_at(
-                    i * interval,
-                    lambda seq=i: tx.send(
-                        Packet.fast(src, dst, 1200, PacketKind.MEDIA_VIDEO,
-                                    "f", seq=seq)
-                    ),
-                )
-
-        if mode == "train":
-            simulator.schedule_at(0.0, emit_train)
-        else:
-            emit_loop()
-        simulator.run()
-        rows = {
-            "tx": [tuple(row) for row in tx._captures[0]._rows],
-            "rx": [tuple(row) for row in rx._captures[0]._rows],
-        }
-        return {
-            "delivered": delivered,
-            "rows": rows,
-            "accepted": accepted,
-            "events": simulator.events_processed,
-            "network": network,
-            "tx": tx,
-            "rx": rx,
-            "next_packet_id": next(packet_mod._packet_ids),
-        }
-
-    def test_bulk_commit_bit_identical(self):
-        train = self._drive("train")
-        loop = self._drive("loop")
-        assert train["accepted"] == [400]
-        assert train["network"].burst_trains == 1
-        assert train["network"].burst_packets == 400
-        # One heap event (the emit) vs send + fused delivery per packet.
-        assert train["events"] == 1
-        assert loop["events"] == 2 * 400
-        # Everything observable is bit-identical: delivery times and
-        # contents, both capture files, link clocks, fused counters,
-        # the global packet-id cursor.
-        assert train["delivered"] == loop["delivered"]
-        assert train["rows"] == loop["rows"]
-        assert train["next_packet_id"] == loop["next_packet_id"]
-        for side in ("tx", "rx"):
-            assert (train[side].link._uplink_free
-                    == loop[side].link._uplink_free)
-            assert (train[side].link._downlink_free
-                    == loop[side].link._downlink_free)
-        assert (train["network"].fast_lane_fused
-                == loop["network"].fast_lane_fused)
-        assert (train["network"].fast_lane_sender_fused
-                == loop["network"].fast_lane_sender_fused)
-
-    def test_backlogged_downlink_refuses_without_mutation(self):
-        """An ineligible train is refused atomically: nothing changes."""
-        # 2 Mbit/s downlink: serialising 1228 wire bytes takes ~4.9 ms,
-        # far beyond the 50 us emission grid, so deliveries would
-        # overlap and the all-or-nothing commit must refuse.
-        result = self._drive("train", downlink_bps=2_000_000.0)
-        assert result["accepted"] == [0]
-        network = result["network"]
-        assert network.burst_trains == 0
-        assert network.burst_packets == 0
-        assert result["delivered"] == []
-        assert result["rows"] == {"tx": [], "rx": []}
-        assert result["tx"].packets_sent == 0
-        assert result["tx"].link._uplink_free == 0.0
-        assert result["rx"].link._downlink_free == 0.0
+    def test_sfu_fan_out_bit_identical(self):
+        fast = _run_model_session(True)
+        slow = _run_model_session(False)
+        assert fast["captures"] == slow["captures"]
+        assert fast["rng_state"] == slow["rng_state"]
+        assert fast["now"] == slow["now"]
+        assert fast["rates"] == slow["rates"]
+        assert fast["packets"] == slow["packets"]
+        assert slow["fused"] == 0
+        assert fast["fused"] > 1000, "fast lane never engaged"
