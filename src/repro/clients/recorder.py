@@ -19,7 +19,8 @@ We model those artefacts explicitly:
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from collections.abc import Sequence
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -38,19 +39,49 @@ WIDGET_VALUE = 52
 DEFAULT_RESAMPLE = 0.85
 
 
+class RecordedFrames(Sequence):
+    """Lazy, read-only view of a recorder's frames, in tick order.
+
+    ``len`` is the tick count.  Integer and slice reads apply the
+    screen-scaling round trip only to the ticks they touch (a slice
+    resamples its missing frames as one batch); each distinct grab is
+    resolved and resampled once and then cached, so ticks that grabbed
+    the same screen share one non-writeable array.  Slices return
+    lists.  The view is live: ticks recorded after it was taken show up
+    in later reads.
+    """
+
+    def __init__(self, recorder: "DesktopRecorder") -> None:
+        self._recorder = recorder
+
+    def __len__(self) -> int:
+        return len(self._recorder._tick_grabs)
+
+    def __getitem__(self, index):
+        ticks = range(len(self))[index]
+        if isinstance(index, slice):
+            return self._recorder._frames_at(ticks)
+        return self._recorder._frames_at((ticks,))[0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+
 class DesktopRecorder:
     """Samples a decoded video flow at a fixed recording frame rate.
 
     Ticks are scheduled at absolute multiples of the frame period from
     the recording start, so timestamps stay exact over arbitrarily
     long sessions (repeated relative ``schedule(1/fps)`` calls would
-    accumulate float rounding error).  The screen-scaling round trip
-    is applied lazily in batches: ticks only grab and annotate frames,
-    and the resample runs as a vectorized pass over the pending stack
-    the first time :attr:`frames` is read.
+    accumulate float rounding error).  Ticks only note what the screen
+    showed: consecutive ticks that grabbed the same decoder output share
+    one grab.  Rendering (UI widgets) and the screen-scaling round trip
+    run when :attr:`frames` is read, once per grab and only for the
+    ticks a read touches -- scoring reads a window of the recording.
 
     Attributes:
-        frames: Recorded (uint8) frames, in tick order.
+        frames: Recorded (uint8) frames, in tick order (a lazy
+            :class:`RecordedFrames` view).
         timestamps: Simulation times of each recorded frame.
         stale_flags: Per-tick freeze markers: ``True`` when the grab
             repeated the previous screen content (the decoder produced
@@ -77,8 +108,14 @@ class DesktopRecorder:
         self.draw_widgets = draw_widgets
         self.timestamps: List[float] = []
         self.stale_flags: List[bool] = []
-        self._finalized: List[np.ndarray] = []
-        self._pending: List[np.ndarray] = []
+        #: Distinct grabs: a decoder event-count token when decoding is
+        #: deferred, else the decoder's rendered frame (or ``None``).
+        self._grabs: List[object] = []
+        #: Per tick, the index of its grab in ``_grabs``.
+        self._tick_grabs: List[int] = []
+        #: Grab index -> its rendered, resampled, read-only frame.
+        self._resampled: Dict[int, np.ndarray] = {}
+        self._frames = RecordedFrames(self)
         self._decoder: Optional[VideoDecoder] = None
         self._running = False
         self._stop_at = 0.0
@@ -87,21 +124,13 @@ class DesktopRecorder:
         self._frames_seen = 0
 
     @property
-    def frames(self) -> List[np.ndarray]:
-        """Recorded frames, with the capture resample applied."""
-        self._finalize_pending()
-        return self._finalized
+    def frames(self) -> RecordedFrames:
+        """Recorded frames, with the capture resample applied on read."""
+        return self._frames
 
     def frames_head(self, count: int) -> List[np.ndarray]:
-        """The first ``count`` recorded frames.
-
-        Applies the capture resample only to that prefix; scoring
-        pipelines with a frame cap use this to skip resampling frames
-        that can never be scored.  Later :attr:`frames` reads finalize
-        the remainder, so the full recording stays available.
-        """
-        self._finalize_pending(count)
-        return self._finalized[:count]
+        """The first ``count`` recorded frames (``frames[:count]``)."""
+        return self.frames[:count]
 
     def start(
         self, decoder: VideoDecoder, duration_s: float, start_delay_s: float = 0.0
@@ -131,32 +160,27 @@ class DesktopRecorder:
         if not self._running or simulator.now >= self._stop_at:
             return False
         decoder = self._decoder
-        if decoder is not None and decoder.defer:
+        if decoder.defer:
             # Deferred decode: grabbing last_frame here would force a
             # materialise per tick.  Park the decoder's event count as
-            # a token instead; _finalize_pending resolves it to the
-            # exact frame this tick would have grabbed.  The stale
-            # flag reads the (eagerly exact) metadata state machine.
-            decoded = decoder.frames_decoded
-            self.stale_flags.append(
-                not decoder.has_output or decoded == self._frames_seen
-            )
-            self._frames_seen = decoded
-            self._pending.append(decoder.events_seen)
-            self.timestamps.append(simulator.now)
-            return None
-        frame = decoder.last_frame if decoder is not None else None
-        decoded = decoder.frames_decoded if decoder is not None else 0
-        self.stale_flags.append(frame is None or decoded == self._frames_seen)
+            # a token instead; a read resolves it to the exact frame
+            # this tick would have grabbed.  The stale flag reads the
+            # (eagerly exact) metadata state machine.
+            grab = decoder.events_seen
+            repeat = bool(self._grabs) and grab == self._grabs[-1]
+            has_output = decoder.has_output
+        else:
+            # last_frame is memoised per reference, so an unchanged
+            # screen hands back the very same array.
+            grab = decoder.last_frame
+            repeat = bool(self._grabs) and grab is self._grabs[-1]
+            has_output = grab is not None
+        decoded = decoder.frames_decoded
+        self.stale_flags.append(not has_output or decoded == self._frames_seen)
         self._frames_seen = decoded
-        if frame is None:
-            # Nothing rendered yet: the desktop shows the meeting UI on
-            # a dark background.
-            frame = np.zeros(self.spec.shape, dtype=np.uint8)
-        rendered = frame.copy()
-        if self.draw_widgets:
-            rendered = self._overlay_widgets(rendered)
-        self._pending.append(rendered)
+        if not repeat:
+            self._grabs.append(grab)
+        self._tick_grabs.append(len(self._grabs) - 1)
         self.timestamps.append(simulator.now)
         return None
 
@@ -164,58 +188,50 @@ class DesktopRecorder:
     # Screen rendering + capture model.
     # ----------------------------------------------------------------- #
 
-    def _finalize_pending(self, count: Optional[int] = None) -> None:
-        """Apply the screen-scaling round trip to grabbed frames.
+    def _frames_at(self, ticks: "Sequence[int]") -> List[np.ndarray]:
+        """The recorded frames of ``ticks``, resampling missing grabs.
 
-        Runs of equally-shaped pending frames are resampled as one
-        ``(T, H, W)`` stack -- bit-compatible with resizing each frame
-        on its own, at a fraction of the per-frame overhead.  With
-        ``count``, only enough frames to make the first ``count``
-        available are processed.
+        Grabs not read before are rendered and put through the
+        screen-scaling round trip as one ``(T, H, W)`` stack per frame
+        shape -- bit-compatible with resizing each frame on its own.
         """
-        if not self._pending:
-            return
-        if count is None:
-            needed = len(self._pending)
-        else:
-            needed = min(max(0, count - len(self._finalized)), len(self._pending))
-            if needed == 0:
-                return
-        pending = self._pending[:needed]
-        del self._pending[:needed]
-        if self._decoder is not None and self._decoder.defer:
-            # Deferred decode parked tokens instead of frames; one
-            # materialise replays the whole session's decodes batched,
-            # then each token resolves to the exact frame its tick
-            # would have grabbed (and annotates it identically).
-            pending = [self._resolve_token(token) for token in pending]
-        if self.resample_factor >= 1.0:
-            self._finalized.extend(pending)
-            return
-        small_shape = (
-            max(16, int(self.spec.height * self.resample_factor)),
-            max(16, int(self.spec.width * self.resample_factor)),
-        )
-        start = 0
-        for end in range(1, len(pending) + 1):
-            if (
-                end < len(pending)
-                and pending[end].shape == pending[start].shape
-            ):
-                continue
-            stack = np.stack(pending[start:end])
-            resampled = resize_frames(
-                resize_frames(stack, small_shape), self.spec.shape
-            )
-            self._finalized.extend(resampled)
-            start = end
+        grab_ids = [self._tick_grabs[tick] for tick in ticks]
+        missing = sorted(set(grab_ids).difference(self._resampled))
+        if missing:
+            rendered = [self._render(self._grabs[grab]) for grab in missing]
+            if self.resample_factor < 1.0:
+                small_shape = (
+                    max(16, int(self.spec.height * self.resample_factor)),
+                    max(16, int(self.spec.width * self.resample_factor)),
+                )
+                for shape in {frame.shape for frame in rendered}:
+                    members = [
+                        i for i, frame in enumerate(rendered)
+                        if frame.shape == shape
+                    ]
+                    stack = np.stack([rendered[i] for i in members])
+                    resampled = resize_frames(
+                        resize_frames(stack, small_shape), self.spec.shape
+                    )
+                    for i, frame in zip(members, resampled):
+                        rendered[i] = frame
+            for grab, frame in zip(missing, rendered):
+                # Ticks sharing a grab share this array: keep it
+                # immutable so no read can change a sibling tick.
+                frame.setflags(write=False)
+                self._resampled[grab] = frame
+        return [self._resampled[grab] for grab in grab_ids]
 
-    def _resolve_token(self, token: int) -> np.ndarray:
-        """Turn a deferred-grab token into the tick's rendered frame."""
-        frame = self._decoder.frame_at_token(token)
+    def _render(self, grab: object) -> np.ndarray:
+        """The screen a grab showed: decoded frame plus UI widgets."""
+        decoder = self._decoder
+        frame = decoder.frame_at_token(grab) if decoder.defer else grab
         if frame is None:
-            frame = np.zeros(self.spec.shape, dtype=np.uint8)
-        rendered = frame.copy()
+            # Nothing rendered yet: the desktop shows the meeting UI on
+            # a dark background.
+            rendered = np.zeros(self.spec.shape, dtype=np.uint8)
+        else:
+            rendered = frame.copy()
         if self.draw_widgets:
             rendered = self._overlay_widgets(rendered)
         return rendered

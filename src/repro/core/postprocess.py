@@ -70,10 +70,10 @@ def recording_prefix_frames(
     The alignment search probes only the first ``PROBE_FRAMES +
     max_shift`` prepared pairs and the scored window is capped at
     ``max_frames``, so a recording prefix of this length produces
-    byte-identical scores; pass it to
-    :meth:`~repro.clients.recorder.DesktopRecorder.frames_head` to
-    skip resampling the rest.  ``None`` (uncapped) means every frame
-    matters.
+    byte-identical scores; :func:`align_recorded_video` reads only up
+    to it, so a lazy :attr:`~repro.clients.recorder.DesktopRecorder.frames`
+    view never resamples the rest.  ``None`` (uncapped) means every
+    frame matters.
     """
     if max_frames is None:
         return None
@@ -113,14 +113,14 @@ def align_recorded_video(
             first aligned frame, so per-frame scores can be mapped back
             to recorder timestamps (phase-segmented QoE needs this).
     """
-    usable = recorded[skip_leading:]
+    # The alignment probes only the first PROBE_FRAMES + max_shift
+    # pairs and the scored window is capped, so with a cap, frames past
+    # this window can never influence the result.  One slice: a lazy
+    # recorder view resamples exactly the frames it hands out.
+    stop = recording_prefix_frames(skip_leading, max_shift, max_frames)
+    usable = recorded[skip_leading:stop]
     if len(usable) == 0:
         raise AnalysisError("recording too short after skip_leading")
-    if max_frames is not None:
-        # The alignment probes only the first PROBE_FRAMES + max_shift
-        # pairs and the scored window is capped, so frames beyond this
-        # prefix can never influence the result -- skip preparing them.
-        usable = usable[: max_shift + PROBE_FRAMES + max_frames]
     prepared = prepare_recorded_frames(padded_feed, usable)
     # The recording's k-th kept frame shows feed content from roughly
     # frame ``skip_leading + k`` (recorder and feed tick at the same

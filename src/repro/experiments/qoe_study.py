@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.postprocess import align_recorded_video, recording_prefix_frames
-from ..media.sync import PROBE_FRAMES
 from ..core.results import QoeSessionResult, RateSummary
 from ..core.session import SessionConfig
 from ..core.testbed import Testbed, TestbedConfig
@@ -116,8 +115,8 @@ def run_qoe_cell(
         # concatenating the aligned stacks yields identical values to
         # scoring each recording on its own.  All receivers replay the
         # same injected feed, so one shared reference window serves
-        # every alignment, and only the recording prefix that can be
-        # scored is pulled (and resampled) from each recorder.
+        # every alignment; the alignment reads (and so resamples) only
+        # the recording window that can be scored.
         skip_leading, max_shift = 2, 30
         prefix = recording_prefix_frames(
             skip_leading=skip_leading,
@@ -131,7 +130,7 @@ def run_qoe_cell(
         aligned = {
             receiver: align_recorded_video(
                 artifacts.padded_feed,
-                recorder.frames if prefix is None else recorder.frames_head(prefix),
+                recorder.frames,
                 skip_leading=skip_leading,
                 max_shift=max_shift,
                 max_frames=scale.score_frames,

@@ -121,8 +121,35 @@ class SpeechLikeSource(AudioSource):
         self._noise_buffer = np.random.default_rng(self.seed).standard_normal(
             self.sample_rate
         )
+        #: Samples ``[0, _generated)`` generated so far, by absolute
+        #: index; the buffer grows by doubling.
+        self._memo = np.empty(0, dtype=np.float64)
+        self._generated = 0
 
     def samples(self, start: int, count: int) -> np.ndarray:
+        """``count`` samples from ``start``, generated at most once.
+
+        The streamer reads the source tick by tick and scoring re-reads
+        the whole reference afterwards, so every sample is generated
+        once into a per-source memo and reads return copies of it.
+        Each sample depends only on its own index, so the memo holds
+        exactly what a direct generation of any window would give.
+        """
+        if start < 0 or count < 0:
+            raise MediaError(f"invalid sample window: {start}+{count}")
+        end = start + count
+        if end > self._generated:
+            if end > len(self._memo):
+                grown = np.empty(max(end, 2 * len(self._memo)), dtype=np.float64)
+                grown[: self._generated] = self._memo[: self._generated]
+                self._memo = grown
+            self._memo[self._generated : end] = self._generate(
+                self._generated, end - self._generated
+            )
+            self._generated = end
+        return self._memo[start:end].copy()
+
+    def _generate(self, start: int, count: int) -> np.ndarray:
         n = np.arange(start, start + count, dtype=np.float64)
         t = n / self.sample_rate
 

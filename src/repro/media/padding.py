@@ -115,12 +115,16 @@ class PaddedSource(FrameSource):
 
 @lru_cache(maxsize=256)
 def _resize_plan(in_shape: tuple[int, int], out_shape: tuple[int, int]):
-    """Cached bilinear gather indices/weights for one shape pair.
+    """Cached bilinear gather plan for one shape pair.
 
-    Building the sample-position arrays dominated ``resize_frame`` in
+    Building the sample positions dominated ``resize_frame`` in
     profiles (the recorder resizes every tick at a fixed geometry), so
     the plan is computed once per ``(in_shape, out_shape)`` and reused.
-    The returned arrays are shared -- treat them as read-only.
+    It holds the flat ``(out_h, out_w)`` indices of the four corner
+    samples into a row-major ``in_h * in_w`` frame (top-left, top-right,
+    bottom-left, bottom-right), and the lerp weights ``1 - wx``, ``wx``,
+    ``1 - wy`` and ``wy`` broadcast to the output shape.  The arrays are
+    shared and read-only.
     """
     in_h, in_w = in_shape
     out_h, out_w = out_shape
@@ -129,71 +133,54 @@ def _resize_plan(in_shape: tuple[int, int], out_shape: tuple[int, int]):
     xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
     ys = np.clip(ys, 0, in_h - 1)
     xs = np.clip(xs, 0, in_w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    return y0, y1, x0, x1, wy, wx
-
-
-def _apply_resize_plan(data: np.ndarray, plan) -> np.ndarray:
-    """Bilinear gather + lerp on the trailing two axes of ``data``.
-
-    Gathers run on the input dtype and the corners are converted to
-    float64 afterwards -- for uint8 frames that is an 8x smaller
-    memory footprint than converting first, with identical values
-    (uint8 -> float64 is exact).
-    """
-    y0, y1, x0, x1, wy, wx = plan
-    row0 = np.take(data, y0, axis=-2)
-    row1 = np.take(data, y1, axis=-2)
-    c00 = np.take(row0, x0, axis=-1).astype(np.float64, copy=False)
-    c01 = np.take(row0, x1, axis=-1).astype(np.float64, copy=False)
-    c10 = np.take(row1, x0, axis=-1).astype(np.float64, copy=False)
-    c11 = np.take(row1, x1, axis=-1).astype(np.float64, copy=False)
-    top = c00 * (1 - wx) + c01 * wx
-    bottom = c10 * (1 - wx) + c11 * wx
-    return top * (1 - wy) + bottom * wy
+    corners = tuple(
+        rows[:, None] * in_w + cols[None, :]
+        for rows, cols in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))
+    )
+    weights = tuple(
+        np.ascontiguousarray(np.broadcast_to(weight, out_shape))
+        for weight in (1 - wx, wx, 1 - wy, wy)
+    )
+    for array in corners + weights:
+        array.setflags(write=False)
+    return corners, weights
 
 
 def resize_frame(frame: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Resize a frame with bilinear interpolation (recording -> feed).
 
     Implemented directly with numpy gather + lerp so the library does
-    not depend on an image package; the gather plan is cached per
-    ``(in_shape, out_shape)``.
+    not depend on an image package; a one-frame :func:`resize_frames`.
     """
     if frame.ndim != 2:
         raise MediaError("expected a single-channel (H, W) frame")
-    out_h, out_w = shape
-    if out_h < 1 or out_w < 1:
-        raise MediaError(f"invalid target shape: {shape}")
-    in_h, in_w = frame.shape
-    if (in_h, in_w) == (out_h, out_w):
-        return frame.copy()
-
-    plan = _resize_plan((in_h, in_w), (out_h, out_w))
-    resized = _apply_resize_plan(frame, plan)
-    if frame.dtype == np.uint8:
-        return np.clip(np.round(resized), 0, 255).astype(np.uint8)
-    return resized
+    return resize_frames(frame[None], shape)[0]
 
 
 #: Target bytes of one float64 frame block during stack resizing --
-#: the gather/lerp temporaries of a block must stay cache-resident
-#: (full-stack passes are DRAM-bound and several times slower).
-_RESIZE_BLOCK_BYTES = 2 << 20
+#: the block's float64 scratch (its input plus three lerp buffers) must
+#: stay cache-resident (full-stack passes are DRAM-bound and several
+#: times slower).
+_RESIZE_BLOCK_BYTES = 512 << 10
 
 
 def resize_frames(frames: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Resize a whole ``(T, H, W)`` stack through the cached plan.
 
-    Bit-compatible with calling :func:`resize_frame` on every frame:
-    the same cached gather plan and lerp arithmetic are applied across
-    the stack's trailing axes, walking the stack in cache-sized frame
-    blocks.
+    Bilinear: each output pixel is ``(c00 * (1 - wx) + c01 * wx) *
+    (1 - wy) + (c10 * (1 - wx) + c11 * wx) * wy`` over its four corner
+    samples, in float64; uint8 input is rounded half-to-even, clipped to
+    [0, 255] and returned as uint8, any other dtype returns the float64
+    result.  The stack is walked in cache-sized frame blocks: each block
+    is converted to float64 once, then every corner is one flat ``take``
+    into reused scratch and the lerp runs in place, so a frame's result
+    does not depend on the stack it was resized in.
     """
     stack = np.asarray(frames)
     if stack.ndim != 3:
@@ -201,27 +188,45 @@ def resize_frames(frames: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     out_h, out_w = shape
     if out_h < 1 or out_w < 1:
         raise MediaError(f"invalid target shape: {shape}")
-    in_h, in_w = stack.shape[1:]
+    count, in_h, in_w = stack.shape
     if (in_h, in_w) == (out_h, out_w):
         return stack.copy()
 
-    plan = _resize_plan((in_h, in_w), (out_h, out_w))
-    frame_bytes = max(in_h * in_w, out_h * out_w) * 8
-    step = max(1, _RESIZE_BLOCK_BYTES // frame_bytes)
-
-    def finish(block: np.ndarray) -> np.ndarray:
-        # Cast inside the loop so the float64 intermediates never
-        # outlive their block -- concatenating them first would
-        # rebuild the full-stack temporary the blocking avoids.
-        if stack.dtype == np.uint8:
-            return np.clip(np.round(block), 0, 255).astype(np.uint8)
-        return block
-
-    if len(stack) <= step:
-        return finish(_apply_resize_plan(stack, plan))
-    return np.concatenate(
-        [
-            finish(_apply_resize_plan(stack[i : i + step], plan))
-            for i in range(0, len(stack), step)
-        ]
+    (i00, i01, i10, i11), (wx0, wx1, wy0, wy1) = _resize_plan(
+        (in_h, in_w), (out_h, out_w)
     )
+    to_uint8 = stack.dtype == np.uint8
+    out = np.empty(
+        (count, out_h, out_w), dtype=np.uint8 if to_uint8 else np.float64
+    )
+    frame_bytes = max(in_h * in_w, out_h * out_w) * 8
+    step = max(1, min(count, _RESIZE_BLOCK_BYTES // frame_bytes))
+    source = np.empty((step, in_h * in_w))
+    top, bottom, term = (np.empty((step, out_h, out_w)) for _ in range(3))
+    for start in range(0, count, step):
+        n = min(step, count - start)
+        src, up, down, tmp = source[:n], top[:n], bottom[:n], term[:n]
+        # Copying the block in also flattens strided views (crops).
+        src.reshape(n, in_h, in_w)[...] = stack[start : start + n]
+        # mode="clip" skips take's bounds-check buffering; the plan's
+        # indices are in range, so it never alters an index.
+        np.take(src, i00, axis=1, out=up, mode="clip")
+        np.multiply(up, wx0, out=up)
+        np.take(src, i01, axis=1, out=tmp, mode="clip")
+        np.multiply(tmp, wx1, out=tmp)
+        np.add(up, tmp, out=up)
+        np.take(src, i10, axis=1, out=down, mode="clip")
+        np.multiply(down, wx0, out=down)
+        np.take(src, i11, axis=1, out=tmp, mode="clip")
+        np.multiply(tmp, wx1, out=tmp)
+        np.add(down, tmp, out=down)
+        np.multiply(up, wy0, out=up)
+        np.multiply(down, wy1, out=down)
+        if to_uint8:
+            np.add(up, down, out=up)
+            np.rint(up, out=up)
+            np.clip(up, 0, 255, out=up)
+            out[start : start + n] = up
+        else:
+            np.add(up, down, out=out[start : start + n])
+    return out

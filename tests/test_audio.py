@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import CodecError, ConfigurationError
+from repro.errors import CodecError, ConfigurationError, MediaError
 from repro.media.audio import (
     SilenceSource,
     SpeechLikeSource,
@@ -59,6 +60,63 @@ class TestSources:
     def test_read_duration(self):
         source = ToneSource()
         assert len(source.read_duration(0.0, 0.5)) == 8000
+
+    def test_speech_rejects_negative_window(self):
+        with pytest.raises(MediaError):
+            SpeechLikeSource().samples(-1, 10)
+        with pytest.raises(MediaError):
+            SpeechLikeSource().samples(0, -1)
+
+
+class TestSpeechMemo:
+    """``SpeechLikeSource.samples`` memoises by absolute sample index;
+    any read sequence must give what a fresh source gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reads=st.lists(
+            st.tuples(st.integers(0, 6000), st.integers(0, 2500)),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 50),
+    )
+    def test_read_sequences_match_fresh_source(self, reads, seed):
+        # Random starts make overlapping, backward, gapped and
+        # zero-length reads.
+        memo = SpeechLikeSource(seed=seed)
+        for start, count in reads:
+            got = memo.samples(start, count)
+            assert got.shape == (count,) and got.dtype == np.float64
+            fresh = SpeechLikeSource(seed=seed)
+            assert np.array_equal(got, fresh.samples(start, count))
+            # ...and what generating only this window gives.
+            assert np.array_equal(got, fresh._generate(start, count))
+
+    def test_overlap_backward_and_empty_reads(self):
+        memo = SpeechLikeSource(seed=7)
+        for start, count in [(1000, 500), (1200, 800), (0, 300), (900, 0),
+                             (5000, 10), (4000, 2000), (0, 0)]:
+            fresh = SpeechLikeSource(seed=7).samples(start, count)
+            assert np.array_equal(memo.samples(start, count), fresh)
+
+    def test_streamer_ticks_then_reference_read(self):
+        # The audio streamer reads 100 ms per tick; scoring then reads
+        # the whole 16 s reference back.
+        memo = SpeechLikeSource(seed=2)
+        fresh = SpeechLikeSource(seed=2).read_duration(0, 16)
+        ticks = [memo.read_duration(k * 0.1, 0.1) for k in range(160)]
+        assert np.array_equal(np.concatenate(ticks), fresh)
+        assert np.array_equal(ticks[37], memo._generate(37 * 1600, 1600))
+        assert np.array_equal(memo.read_duration(0, 16), fresh)
+
+    def test_returned_arrays_are_copies(self):
+        memo = SpeechLikeSource(seed=4)
+        first = memo.samples(100, 400)
+        want = first.copy()
+        first[:] = 5.0
+        assert np.array_equal(memo.samples(100, 400), want)
+        assert np.array_equal(memo.samples(0, 1000)[100:500], want)
 
 
 class TestAudioCodecConfig:

@@ -20,7 +20,7 @@ import pytest
 
 import repro.media.batching as batching
 import repro.net.packet as packet_mod
-from repro.clients.recorder import DesktopRecorder
+from repro.clients.recorder import DEFAULT_RESAMPLE, DesktopRecorder
 from repro.core.session import SessionConfig
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.errors import CodecError
@@ -32,6 +32,7 @@ from repro.media.audio_codec import (
 )
 from repro.media.feeds import HighMotionFeed, LowMotionFeed, StaticFeed
 from repro.media.frames import FrameSpec
+from repro.media.padding import resize_frames
 from repro.media.video_codec import (
     BLOCK,
     VideoCodec,
@@ -476,22 +477,22 @@ class TestDeferredRecorder:
     """A desktop recorder on a deferred decoder vs one on an eager one.
 
     The deferred recorder parks a decoder event count per tick and
-    resolves it at finalize; it must record exactly what the eager
-    recorder grabbed live -- through black pre-roll, a transport loss,
-    the freeze after it and the keyframe resync.
+    resolves it when its frames are read; it must record exactly what
+    the eager recorder grabbed live -- through black pre-roll, a
+    transport loss, the freeze after it and the keyframe resync.  Both
+    must match the recording as a full, eager finalize produced it,
+    whatever order the lazy frame view is read in.
     """
 
     LOST = 8  # GOP 6: frames 9-11 freeze, keyframe 12 resyncs
 
-    def _record(self, defer: bool) -> DesktopRecorder:
+    def _session(self, decoder: VideoDecoder):
         testbed = Testbed(TestbedConfig(seed=11))
         client = testbed.add_vm("US-East")
         simulator = testbed.network.simulator
         codec = VideoCodec(SPEC, VideoCodecConfig(gop_size=6),
                            target_bps=300_000)
         stream = codec.encode_batch(np.stack(LowMotionFeed(SPEC).frames(24)))
-        decoder = VideoDecoder(SPEC, defer=defer)
-        assert decoder.defer == defer
         # Twice the stream rate, so most content is grabbed twice.
         recorder = DesktopRecorder(client, SPEC, pad_fraction=0.15,
                                    record_fps=2 * SPEC.fps)
@@ -504,9 +505,37 @@ class TestDeferredRecorder:
                 simulator.schedule_at(when, decoder.mark_lost, encoded.index)
             else:
                 simulator.schedule_at(when, decoder.decode, encoded)
+        return recorder, simulator
+
+    def _record(self, defer: bool) -> DesktopRecorder:
+        decoder = VideoDecoder(SPEC, defer=defer)
+        assert decoder.defer == defer
+        recorder, simulator = self._session(decoder)
         simulator.run()
         assert decoder.frames_frozen == 4
         return recorder
+
+    def _eager_full_finalize(self) -> np.ndarray:
+        """Every tick's screen grabbed live from an eager decoder, then
+        one screen-scaling round trip over the whole recording."""
+        decoder = VideoDecoder(SPEC)
+        recorder, simulator = self._session(decoder)
+        grabbed = []
+
+        def grab():
+            frame = decoder.last_frame
+            grabbed.append(np.zeros(SPEC.shape, dtype=np.uint8)
+                           if frame is None else frame.copy())
+
+        # Deliveries never coincide with a tick, so grabbing at the
+        # tick times sees exactly what each tick saw.
+        for when in self._record(defer=False).timestamps:
+            simulator.schedule_at(when, grab)
+        simulator.run()
+        rendered = np.stack([recorder._overlay_widgets(f) for f in grabbed])
+        small = (int(SPEC.height * DEFAULT_RESAMPLE),
+                 int(SPEC.width * DEFAULT_RESAMPLE))
+        return resize_frames(resize_frames(rendered, small), SPEC.shape)
 
     def test_deferred_recording_bit_identical(self):
         deferred = self._record(defer=True)
@@ -517,6 +546,52 @@ class TestDeferredRecorder:
         assert len(deferred.frames) == len(eager.frames) == 50
         for got, want in zip(deferred.frames, eager.frames):
             assert np.array_equal(got, want)
+
+    #: Read sequences on a fresh recording, each ending in a full read.
+    ACCESS_ORDERS = {
+        "tail_slice_first": [slice(40, None), slice(None)],
+        "overlapping_slices": [slice(10, 30), slice(20, 45), slice(None)],
+        "single_indices": [7, 0, 49, 8, slice(None)],
+        "negative_indices": [-1, -50, -26, slice(-5, None), slice(None)],
+        "frames_head": ["head", slice(None)],
+        "mixed": [slice(3, 4), -3, "head", slice(None, None, 7), slice(None)],
+    }
+
+    @pytest.mark.parametrize("defer", [True, False])
+    @pytest.mark.parametrize("order", sorted(ACCESS_ORDERS))
+    def test_every_access_order_matches_eager_full_finalize(self, defer, order):
+        expected = self._eager_full_finalize()
+        recorder = self._record(defer)
+        frames = recorder.frames
+        assert len(frames) == len(expected) == 50
+        for read in self.ACCESS_ORDERS[order]:
+            if read == "head":
+                got, want = recorder.frames_head(12), expected[:12]
+            elif isinstance(read, slice):
+                got, want = frames[read], expected[read]
+            else:
+                got, want = [frames[read]], expected[read][None]
+            assert isinstance(got, list) and len(got) == len(want)
+            for frame, reference in zip(got, want):
+                assert frame.dtype == np.uint8
+                assert np.array_equal(frame, reference)
+        assert np.array_equal(np.asarray(frames), expected)
+        with pytest.raises(IndexError):
+            frames[50]
+
+    @pytest.mark.parametrize("defer", [True, False])
+    def test_shared_grabs_are_read_only(self, defer):
+        recorder = self._record(defer)
+        frames = recorder.frames
+        shared = [i for i in range(1, len(frames)) if frames[i] is frames[i - 1]]
+        # Ticks at twice the stream rate grab most frames twice.
+        assert len(shared) >= 10
+        tick = shared[0]
+        before = frames[tick - 1].copy()
+        assert all(not frame.flags.writeable for frame in frames)
+        with pytest.raises(ValueError):
+            frames[tick][0, 0] = 255 - frames[tick][0, 0]
+        assert np.array_equal(frames[tick - 1], before)
 
 
 class TestBlockKernelProperties:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.clients.recorder as recorder_mod
 from repro.errors import ConfigurationError, MeasurementError
 from repro.experiments.bandwidth_study import (
     RATE_LIMITS,
@@ -16,6 +17,8 @@ from repro.experiments.qoe_study import (
 )
 from repro.experiments.scale import ExperimentScale, PAPER_SCALE, QUICK_SCALE
 from repro.media.frames import FrameSpec
+from repro.media.sync import PROBE_FRAMES
+from repro.units import kbps
 
 FAST = ExperimentScale(
     sessions=1,
@@ -98,6 +101,27 @@ class TestBandwidthStudy:
         assert cell.mos_lqo_mean >= 1.0
         assert cell.psnr_mean > 0
         assert cell.download_mbps <= 1.15
+
+    def test_cell_resamples_only_the_scored_window(self, monkeypatch):
+        # A deterministic guard on the finalize work: the cell scores
+        # recorder ticks [skip, skip + max_shift + PROBE_FRAMES +
+        # score_frames), so the recorder's screen resample must see no
+        # more frames than that window holds -- a two-step slice such
+        # as recorded[skip:][:n] would resample every tick after skip.
+        resampled = []
+        resize_frames = recorder_mod.resize_frames
+
+        def counting_resize(frames, shape):
+            if shape[0] < frames.shape[1]:  # the downscale pass
+                resampled.append(len(frames))
+            return resize_frames(frames, shape)
+
+        monkeypatch.setattr(recorder_mod, "resize_frames", counting_resize)
+        scale = ExperimentScale(sessions=1)
+        run_bandwidth_cell("zoom", "low", kbps(500), scale=scale,
+                           compute_vifp=False)
+        max_shift = 30  # score_recorded_video's default search range
+        assert 0 < sum(resampled) <= max_shift + PROBE_FRAMES + scale.score_frames
 
 
 class TestMobileStudy:

@@ -1,13 +1,17 @@
 """Padding workflow (Fig. 13), A/V alignment, loopback devices."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AnalysisError, MediaError
 from repro.media.audio import SpeechLikeSource, ToneSource
 from repro.media.feeds import HighMotionFeed, LowMotionFeed
 from repro.media.frames import FrameSpec
 from repro.media.loopback import VirtualCamera, VirtualMicrophone
+from repro.media import padding
 from repro.media.padding import (
     PaddedSource,
     add_padding,
@@ -137,10 +141,98 @@ class TestResizeFrames:
         from repro.media.padding import _resize_plan
 
         _resize_plan.cache_clear()
-        resize_frame(np.zeros((16, 16), dtype=np.uint8), (8, 8))
-        resize_frame(np.ones((16, 16), dtype=np.uint8), (8, 8))
+        resize_frame(np.zeros((16, 12), dtype=np.uint8), (8, 6))
+        resize_frame(np.ones((16, 12), dtype=np.uint8), (8, 6))
         info = _resize_plan.cache_info()
         assert info.hits >= 1 and info.misses == 1
+        # The cached plan is the shared flat one: corner indices into
+        # a row-major 16x12 frame and weights at the output shape, all
+        # read-only so no caller can corrupt later resizes.
+        corners, weights = _resize_plan((16, 12), (8, 6))
+        assert _resize_plan.cache_info().hits == info.hits + 1
+        for array in corners + weights:
+            assert array.shape == (8, 6)
+            assert not array.flags.writeable
+        for index in corners:
+            assert 0 <= index.min() and index.max() < 16 * 12
+        wx0, wx1, wy0, wy1 = weights
+        assert np.array_equal(wx0 + wx1, np.ones((8, 6)))
+        assert np.array_equal(wy0 + wy1, np.ones((8, 6)))
+
+
+def _reference_resize(stack, shape):
+    """The bilinear resize as one full-stack gather + lerp (the
+    formulation before the flat in-place kernel), kept here as the
+    kernel's twin."""
+    in_h, in_w = stack.shape[-2:]
+    out_h, out_w = shape
+    if (in_h, in_w) == (out_h, out_w):
+        return stack.copy()
+    ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
+    ys = np.clip(ys, 0, in_h - 1)
+    xs = np.clip(xs, 0, in_w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    row0 = np.take(stack, y0, axis=-2)
+    row1 = np.take(stack, y1, axis=-2)
+    c00 = np.take(row0, x0, axis=-1).astype(np.float64, copy=False)
+    c01 = np.take(row0, x1, axis=-1).astype(np.float64, copy=False)
+    c10 = np.take(row1, x0, axis=-1).astype(np.float64, copy=False)
+    c11 = np.take(row1, x1, axis=-1).astype(np.float64, copy=False)
+    top = c00 * (1 - wx) + c01 * wx
+    bottom = c10 * (1 - wx) + c11 * wx
+    resized = top * (1 - wy) + bottom * wy
+    if stack.dtype == np.uint8:
+        return np.clip(np.round(resized), 0, 255).astype(np.uint8)
+    return resized
+
+
+#: Frames per processing block in the kernel twin property.
+_TWIN_STEP = 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from([np.uint8, np.float64]),
+    # Below, at and above one block of _TWIN_STEP frames, and T=1.
+    count=st.sampled_from([1, _TWIN_STEP - 1, _TWIN_STEP, _TWIN_STEP + 1,
+                           2 * _TWIN_STEP + 1]),
+    in_shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    # Up- and downscaling, same shape and 1-pixel targets.
+    out_shape=st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        st.just((1, 1)),
+        st.just(None),
+    ),
+    # Crops reach the kernel as strided views.
+    cropped=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_resize_frames_matches_reference_formulation(
+    dtype, count, in_shape, out_shape, cropped, seed
+):
+    rng = np.random.default_rng(seed)
+    shape = (count, in_shape[0], in_shape[1] + 2)
+    if dtype == np.uint8:
+        stack = rng.integers(0, 256, shape, dtype=np.uint8)
+    else:
+        stack = rng.normal(128.0, 90.0, shape)
+    stack = stack[..., 1:-1] if cropped else stack[..., 2:].copy()
+    target = in_shape if out_shape is None else out_shape
+    frame_bytes = max(in_shape[0] * in_shape[1], target[0] * target[1]) * 8
+    with mock.patch.object(
+        padding, "_RESIZE_BLOCK_BYTES", _TWIN_STEP * frame_bytes
+    ):
+        got = resize_frames(stack, target)
+    want = _reference_resize(stack, target)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(resize_frame(stack[0], target), want[0])
 
 
 class TestVideoAlignment:
