@@ -388,7 +388,7 @@ def bench_qoe_batch(profile: BenchProfile) -> Dict[str, float]:
 
 
 # --------------------------------------------------------------------- #
-# Campaign fabric micro benchmark (PR 6's scheduler).
+# Campaign fabric micro benchmark.
 # --------------------------------------------------------------------- #
 
 def bench_campaign_fabric(profile: BenchProfile) -> Dict[str, float]:
@@ -396,8 +396,8 @@ def bench_campaign_fabric(profile: BenchProfile) -> Dict[str, float]:
 
     Three timings of the same deterministic cells: a raw
     ``execute_cell`` loop (no scheduler, no store), the inline fabric
-    (scheduler + JSONL store, one process), and the process pool with
-    two workers.  ``inline_efficiency`` -- raw wall over inline wall,
+    (scheduler + JSONL store, one process), and the fabric on two
+    owned worker processes.  ``inline_efficiency`` -- raw wall over inline wall,
     measured in one process on identical cells -- is the
     hardware-independent ratio the CI gate tracks: it decays towards 0
     if per-cell scheduling or store appends grow, and sits near 1 while
@@ -440,9 +440,8 @@ def bench_campaign_fabric(profile: BenchProfile) -> Dict[str, float]:
         inline = min(
             scheduled_once(f"inline{i}", workers=1) for i in range(2)
         )
-        pool = min(
-            scheduled_once(f"pool{i}", workers=2, executor="pool")
-            for i in range(2)
+        workers = min(
+            scheduled_once(f"workers{i}", workers=2) for i in range(2)
         )
     cells = len(payloads)
     return {
@@ -450,9 +449,9 @@ def bench_campaign_fabric(profile: BenchProfile) -> Dict[str, float]:
         "spin_ms": profile.fabric_spin_ms,
         "raw_cells_per_s": round(cells / raw, 1),
         "inline_cells_per_s": round(cells / inline, 1),
-        "pool_cells_per_s": round(cells / pool, 1),
+        "workers_cells_per_s": round(cells / workers, 1),
         "inline_efficiency": round(raw / inline, 3),
-        "pool_speedup": round(inline / pool, 3),
+        "workers_speedup": round(inline / workers, 3),
         "overhead_ms_per_cell": round((inline - raw) / cells * 1000.0, 3),
     }
 
@@ -580,7 +579,7 @@ def render_report(payload: dict) -> str:
                     "events_per_packet", "frames_per_s", "batched_speedup",
                     "encode_batched_speedup", "decode_batched_speedup",
                     "inline_cells_per_s", "inline_efficiency",
-                    "pool_speedup", "wall_s"):
+                    "workers_speedup", "wall_s"):
             if key in result:
                 value = result[key]
                 parts.append(f"{key}={value:,}" if isinstance(value, int)

@@ -9,15 +9,14 @@ campaign:
   :class:`CampaignCell` work items with deterministic per-cell seeds,
 * :mod:`repro.campaign.registry` -- uniform adapters dispatching cells
   to the experiment drivers and serializing their results,
-* :mod:`repro.campaign.store` / :mod:`~repro.campaign.stores` --
-  pluggable result stores behind one contract: append-only JSONL,
-  sqlite, or a sharded directory, selected by path
-  (:func:`open_store`), all with spec-hash integrity checking and a
-  configurable :class:`DurabilityPolicy`,
-* :mod:`repro.campaign.fabric` -- the distributed campaign fabric:
-  sharded scheduling over pluggable executors (in-process,
-  crash-recovering pool, owned local workers), per-cell retry/timeout,
-  durable checkpoints, streaming aggregation and live watch,
+* :mod:`repro.campaign.store` / :mod:`~repro.campaign.stores` -- the
+  append-only JSONL result store (:func:`open_store`), with spec-hash
+  integrity checking, a configurable :class:`DurabilityPolicy` and
+  crash-safe compaction,
+* :mod:`repro.campaign.fabric` -- the campaign fabric: sharded
+  scheduling in-process or over owned, crash-recovering worker
+  processes, per-cell retry/timeout, durable checkpoints, streaming
+  aggregation and live watch,
 * :mod:`repro.campaign.runner` -- :func:`run_campaign`, the one-call
   entry point with resume (completed cells are skipped by id),
 * :mod:`repro.campaign.aggregate` -- paper-style tables and Markdown
@@ -30,12 +29,12 @@ Quickstart::
     from repro.campaign import run_campaign, smoke_campaign
 
     spec = smoke_campaign()
-    summary = run_campaign(spec, "campaign.sqlite", workers=2)
-    summary = run_campaign(spec, "campaign.sqlite", workers=2, resume=True)
+    summary = run_campaign(spec, "campaign.jsonl", workers=2)
+    summary = run_campaign(spec, "campaign.jsonl", workers=2, resume=True)
     assert summary.executed == 0   # everything was already done
 
     from repro.campaign import report_from_store
-    print(report_from_store("campaign.sqlite").render())
+    print(report_from_store("campaign.jsonl").render())
 
 Or from the shell: ``python -m repro campaign run --smoke --workers 2``,
 then ``python -m repro campaign watch <store>`` from another terminal.
@@ -62,7 +61,6 @@ from .fabric import (
     StreamingAggregator,
     backoff_delay,
     make_executor,
-    run_all_selfchecks,
     run_chaos_case,
     run_chaos_matrix,
     run_gc_selfcheck,
@@ -80,7 +78,6 @@ from .registry import ADAPTERS, ScenarioAdapter, get_adapter
 from .runner import (
     CampaignRunSummary,
     execute_cell,
-    execute_unit,
     run_campaign,
 )
 from .spec import (
@@ -98,14 +95,11 @@ from .store import (
     GcStats,
     JsonlCampaignStore,
 )
-from .store_shards import ShardedCampaignStore
-from .store_sqlite import SqliteCampaignStore
-from .stores import BACKENDS, open_store, resolve_backend
+from .stores import open_store
 
 __all__ = [
     "ADAPTERS",
     "ALL_PLATFORMS",
-    "BACKENDS",
     "CampaignCell",
     "CampaignRunSummary",
     "CampaignScheduler",
@@ -129,8 +123,6 @@ __all__ = [
     "ScenarioAdapter",
     "ScenarioSpec",
     "SelfCheckResult",
-    "ShardedCampaignStore",
-    "SqliteCampaignStore",
     "StreamingAggregator",
     "TableSpec",
     "backoff_delay",
@@ -138,14 +130,11 @@ __all__ = [
     "calibration_campaign",
     "derive_seed",
     "execute_cell",
-    "execute_unit",
     "get_adapter",
     "make_executor",
     "open_store",
     "paper_campaign",
     "report_from_store",
-    "resolve_backend",
-    "run_all_selfchecks",
     "run_campaign",
     "run_chaos_case",
     "run_chaos_matrix",

@@ -2,7 +2,7 @@
 
 Everything here works from stored cell records alone -- no driver
 objects, no re-execution -- so a report can be rendered on a different
-machine (or months later) from any store backend.  Tables reuse
+machine (or months later) from the store file.  Tables reuse
 :class:`~repro.analysis.tables.TextTable` and the Markdown shape of
 :class:`~repro.analysis.report.ExperimentReport`, so campaign output
 matches the per-figure benchmarks.
@@ -320,6 +320,6 @@ def build_report(spec: CampaignSpec,
 
 
 def report_from_store(store_path: str) -> ExperimentReport:
-    """Render the report for any store backend, from the store alone."""
+    """Render the report for a store, from the store alone."""
     store = open_store(store_path)
     return build_report(store.spec(), store.cell_records())

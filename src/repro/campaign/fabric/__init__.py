@@ -1,36 +1,32 @@
-"""The distributed campaign fabric.
+"""The campaign fabric.
 
 Everything that turns a campaign spec into a finished store when the
 grid is too big for one process and one sitting:
 
 * :mod:`~repro.campaign.fabric.executors` -- where cells run: inline,
-  a crash-recovering process pool, or N owned local worker processes
-  modeling multi-machine dispatch,
+  or N owned, crash-recovering worker processes,
 * :mod:`~repro.campaign.fabric.scheduler` -- sharding, dispatch,
   per-cell retry budgets, timeouts, durable checkpoints,
 * :mod:`~repro.campaign.fabric.streaming` -- incremental folding of
   arriving records into live paper tables and progress,
 * :mod:`~repro.campaign.fabric.watch` -- read-only live status over
-  any store backend,
-* :mod:`~repro.campaign.fabric.selfcheck` -- the kill/resume
-  equivalence proof CI runs per backend,
+  a store another process writes,
+* :mod:`~repro.campaign.fabric.selfcheck` -- the kill/resume and
+  gc-crash equivalence proofs CI runs,
 * :mod:`~repro.campaign.fabric.faults` -- the deterministic
   fault-injection plane (seeded fault plans, cross-process
   exactly-N-times firing, deterministic retry backoff),
 * :mod:`~repro.campaign.fabric.chaos` -- the chaos matrix: every
-  fault class against every backend, judged by bit-identity with a
-  clean reference run.
+  fault class, judged by bit-identity with a clean reference run.
 """
 
 from .chaos import FAULT_CLASSES, ChaosCaseResult, run_chaos_case, run_chaos_matrix
 from .executors import (
-    EXECUTORS,
     CellDone,
     ExecutorBase,
     InlineExecutor,
-    LocalWorkerFabricExecutor,
-    ProcessPoolFabricExecutor,
     UnitFailed,
+    WorkerExecutor,
     WorkUnit,
     make_executor,
 )
@@ -39,7 +35,6 @@ from .scheduler import CampaignScheduler, FabricConfig
 from .selfcheck import (
     GcSelfCheckResult,
     SelfCheckResult,
-    run_all_selfchecks,
     run_gc_selfcheck,
     run_selfcheck,
 )
@@ -52,7 +47,6 @@ from .watch import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "FAULT_CLASSES",
     "CampaignScheduler",
     "CellDone",
@@ -63,13 +57,12 @@ __all__ = [
     "FaultSpec",
     "GcSelfCheckResult",
     "InlineExecutor",
-    "LocalWorkerFabricExecutor",
-    "ProcessPoolFabricExecutor",
     "ProgressSnapshot",
     "SelfCheckResult",
     "StreamingAggregator",
     "UnitFailed",
     "WorkUnit",
+    "WorkerExecutor",
     "backoff_delay",
     "load_fabric_health",
     "make_executor",
@@ -79,6 +72,5 @@ __all__ = [
     "run_chaos_matrix",
     "run_gc_selfcheck",
     "run_selfcheck",
-    "run_all_selfchecks",
     "watch_store",
 ]

@@ -4,13 +4,13 @@
 where selfcheck proves the fabric survives a SIGKILL from *outside*,
 the chaos matrix activates the deterministic fault plane
 (:mod:`~repro.campaign.fabric.faults`) and proves the fabric survives
-every fault class it can inject from *inside* -- on every store
-backend -- with the surviving store **bit-identical in cell content**
-to an uninjected reference run.
+every fault class it can inject from *inside*, with the surviving
+store **bit-identical in cell content** to an uninjected reference
+run.
 
 One clean inline reference run anchors every comparison: cell ids and
 seeds derive from ``kind + params + master_seed`` only (never the
-campaign name, store backend, executor or retry history), so the same
+campaign name, store path, executor or retry history), so the same
 grid produces the same content everywhere.
 
 Fault classes (:data:`FAULT_CLASSES`):
@@ -20,9 +20,9 @@ Fault classes (:data:`FAULT_CLASSES`):
 ``hang``        one cell sleeps past ``cell_timeout_s``; the timeout
                 kill plus retry must match.
 ``slow``        one cell is delayed but completes; nothing may differ.
-``store-io``    appends fail transiently (torn-write + EIO for the
-                line-append backends, ENOSPC for sqlite); the bounded
-                retry must persist every record intact.
+``store-io``    appends fail transiently (a partial line torn into
+                the file, then EIO); the bounded retry must heal the
+                debris and persist every record intact.
 ``checkpoint``  the scheduler's checkpoint sidecar is corrupted just
                 before a resume loads it; the resume must complete
                 anyway (only retry-budget memory may be lost).
@@ -44,9 +44,9 @@ from ...errors import CampaignError
 from ..grids import calibration_campaign
 from ..runner import CampaignRunSummary, run_campaign
 from ..spec import CampaignSpec
-from ..stores import BACKENDS, open_store
+from ..stores import open_store
 from .faults import FaultPlan, FaultSpec, activate, deactivate
-from .selfcheck import STORE_NAMES, _ok_content
+from .selfcheck import _ok_content, compare_content
 
 #: Every fault class the matrix can rehearse.
 FAULT_CLASSES = (
@@ -62,10 +62,9 @@ FAULT_CLASSES = (
 
 @dataclass
 class ChaosCaseResult:
-    """Outcome of one (backend, fault class) chaos case.
+    """Outcome of one fault-class chaos case.
 
     Attributes:
-        backend: Store backend exercised.
         fault: Fault class injected.
         fired: Fault firings actually claimed (0 means the injection
             never happened and the case is void).
@@ -74,7 +73,6 @@ class ChaosCaseResult:
         mismatches: Content differences vs the reference (empty=pass).
     """
 
-    backend: str
     fault: str
     fired: int
     duration_s: float
@@ -91,8 +89,7 @@ def _chaos_grid(quick: bool, chaos_seed: int) -> CampaignSpec:
     """The calibration grid every chaos case runs.
 
     The campaign name does not affect cell ids or seeds, so every
-    backend and fault class shares one reference despite distinct
-    store paths.
+    fault class shares one reference despite distinct store paths.
     """
     return calibration_campaign(
         cells=6 if quick else 10,
@@ -100,29 +97,6 @@ def _chaos_grid(quick: bool, chaos_seed: int) -> CampaignSpec:
         master_seed=104729 + chaos_seed,
         name="chaos",
     )
-
-
-def _compare(reference: Dict[str, Tuple], store_path: str,
-             ignore: Sequence[str] = ()) -> List[str]:
-    """Content-key diff between the reference and a survivor store."""
-    survivor = _ok_content(store_path)
-    skip = set(ignore)
-    mismatches: List[str] = []
-    for cell_id in sorted(set(reference) | set(survivor)):
-        if cell_id in skip:
-            continue
-        ref = reference.get(cell_id)
-        got = survivor.get(cell_id)
-        if ref is None:
-            mismatches.append(f"{cell_id}: extra cell in chaos store")
-        elif got is None:
-            mismatches.append(f"{cell_id}: missing from chaos store")
-        elif ref != got:
-            mismatches.append(
-                f"{cell_id}: content differs\n  reference: {ref}\n"
-                f"  survivor:  {got}"
-            )
-    return mismatches
 
 
 def _fault_target(spec: CampaignSpec) -> str:
@@ -139,7 +113,6 @@ class _CasePlan:
     """How one fault class runs: its faults plus scheduling policy."""
 
     specs: Tuple[FaultSpec, ...]
-    executor: str = "inline"
     workers: int = 1
     max_attempts: int = 3
     cell_timeout_s: Optional[float] = None
@@ -148,29 +121,26 @@ class _CasePlan:
     two_stage: bool = False  # run, then resume with the fault armed
 
 
-def _case_plan(fault: str, backend: str, target: str) -> _CasePlan:
+def _case_plan(fault: str, target: str) -> _CasePlan:
     if fault == "crash":
         return _CasePlan(
             specs=(FaultSpec("cell.crash", cell_id=target),),
-            executor="spawn", workers=2,
+            workers=2,
         )
     if fault == "hang":
         return _CasePlan(
             specs=(FaultSpec("cell.hang", cell_id=target, delay_s=30.0),),
-            executor="spawn", workers=2, cell_timeout_s=1.5,
+            workers=2, cell_timeout_s=1.5,
         )
     if fault == "slow":
         return _CasePlan(
             specs=(FaultSpec("cell.slow", cell_id=target, delay_s=0.2),),
         )
     if fault == "store-io":
-        # Line-append backends get the nastiest mode -- a partial line
-        # torn into the file before the error -- so the retry must heal
-        # real crash debris; sqlite has no torn concept, so it gets
-        # ENOSPC.
-        mode = "enospc" if backend == "sqlite" else "torn"
+        # The nastiest mode -- a partial line torn into the file before
+        # the error -- so the retry must heal real crash debris.
         return _CasePlan(
-            specs=(FaultSpec("store.append", mode=mode, times=2),),
+            specs=(FaultSpec("store.append", mode="torn", times=2),),
         )
     if fault == "checkpoint":
         # Stage 1 crashes one cell with no retry budget, leaving an
@@ -182,18 +152,18 @@ def _case_plan(fault: str, backend: str, target: str) -> _CasePlan:
                 FaultSpec("cell.crash", cell_id=target),
                 FaultSpec("checkpoint.corrupt"),
             ),
-            executor="spawn", workers=2, max_attempts=1, two_stage=True,
+            workers=2, max_attempts=1, two_stage=True,
         )
     if fault == "crashloop":
         return _CasePlan(
             specs=(FaultSpec("executor.crashloop", times=500),),
-            executor="spawn", workers=2, max_attempts=10,
+            workers=2, max_attempts=10,
             crashloop_threshold=3,
         )
     if fault == "poison":
         return _CasePlan(
             specs=(FaultSpec("cell.crash", cell_id=target, times=99),),
-            executor="spawn", workers=2, max_attempts=10,
+            workers=2, max_attempts=10,
             poison_threshold=2,
         )
     raise CampaignError(
@@ -202,17 +172,15 @@ def _case_plan(fault: str, backend: str, target: str) -> _CasePlan:
 
 
 def run_chaos_case(
-    backend: str,
     fault: str,
     workdir: str,
     reference: Dict[str, Tuple],
     spec: CampaignSpec,
     chaos_seed: int = 0,
 ) -> ChaosCaseResult:
-    """Inject one fault class against one backend and judge survival.
+    """Inject one fault class and judge survival.
 
     Args:
-        backend: ``jsonl``, ``sqlite`` or ``shards``.
         fault: A member of :data:`FAULT_CLASSES`.
         workdir: Fresh scratch directory for this case.
         reference: ``_ok_content`` of the clean reference run.
@@ -224,20 +192,19 @@ def run_chaos_case(
     """
     os.makedirs(workdir, exist_ok=True)
     target = _fault_target(spec)
-    case = _case_plan(fault, backend, target)
+    case = _case_plan(fault, target)
     plan = FaultPlan(
         chaos_seed=chaos_seed,
         specs=case.specs,
         state_dir=os.path.join(workdir, "fault-state"),
     )
-    store_path = os.path.join(workdir, STORE_NAMES[backend])
+    store_path = os.path.join(workdir, "store.jsonl")
     start = time.perf_counter()
 
     def run(resume: bool) -> CampaignRunSummary:
         return run_campaign(
             spec, store_path,
             workers=case.workers,
-            executor=case.executor,
             resume=resume,
             max_attempts=case.max_attempts,
             cell_timeout_s=case.cell_timeout_s,
@@ -264,7 +231,7 @@ def run_chaos_case(
     if fault == "poison":
         # The poisoned cell must be quarantined (error record, no ok),
         # every other cell bit-identical.
-        mismatches = _compare(reference, store_path, ignore=(target,))
+        mismatches = compare_content(reference, store_path, ignore=(target,))
         store = open_store(store_path)
         verdicts = [r for r in store.cell_records()
                     if r.cell_id == target]
@@ -287,7 +254,7 @@ def run_chaos_case(
             )
         detail = f"quarantined {target} after repeated worker kills"
     else:
-        mismatches = _compare(reference, store_path)
+        mismatches = compare_content(reference, store_path)
         if fault == "crashloop":
             if not summary.degraded:
                 mismatches.append(
@@ -306,7 +273,6 @@ def run_chaos_case(
             f"fault {fault!r} never fired; the case proved nothing"
         )
     return ChaosCaseResult(
-        backend=backend,
         fault=fault,
         fired=fired,
         duration_s=duration,
@@ -317,16 +283,14 @@ def run_chaos_case(
 
 def run_chaos_matrix(
     workdir: str,
-    backends: Optional[Sequence[str]] = None,
     faults: Optional[Sequence[str]] = None,
     quick: bool = True,
     chaos_seed: int = 0,
 ) -> List[ChaosCaseResult]:
-    """Run the fault matrix: every fault class x every store backend.
+    """Run the fault matrix: one case per fault class.
 
     Args:
         workdir: Scratch directory (created if missing).
-        backends: Store backends to exercise (default: all three).
         faults: Fault classes to inject (default: all of
             :data:`FAULT_CLASSES`).
         quick: Small grid and delays (the CI profile).
@@ -336,14 +300,7 @@ def run_chaos_matrix(
     Returns:
         One :class:`ChaosCaseResult` per case, in matrix order.
     """
-    backends = list(backends) if backends else sorted(BACKENDS)
     faults = list(faults) if faults else list(FAULT_CLASSES)
-    for backend in backends:
-        if backend not in BACKENDS:
-            raise CampaignError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{tuple(sorted(BACKENDS))}"
-            )
     for fault in faults:
         if fault not in FAULT_CLASSES:
             raise CampaignError(
@@ -363,14 +320,13 @@ def run_chaos_matrix(
             f"{len(reference)}/{spec.cell_count()} cells ok"
         )
 
-    results: List[ChaosCaseResult] = []
-    for backend in backends:
-        for fault in faults:
-            results.append(run_chaos_case(
-                backend, fault,
-                workdir=os.path.join(workdir, backend, fault),
-                reference=reference,
-                spec=spec,
-                chaos_seed=chaos_seed,
-            ))
-    return results
+    return [
+        run_chaos_case(
+            fault,
+            workdir=os.path.join(workdir, fault),
+            reference=reference,
+            spec=spec,
+            chaos_seed=chaos_seed,
+        )
+        for fault in faults
+    ]

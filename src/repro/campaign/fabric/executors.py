@@ -1,22 +1,17 @@
 """Executor abstraction: where and how work units actually run.
 
 The scheduler speaks one protocol -- ``submit(WorkUnit)`` then
-``poll()`` for events -- and three executors implement it:
+``poll()`` for events -- and two executors implement it:
 
 * :class:`InlineExecutor` -- every cell in-process (pure, debuggable,
   no forks; the ``workers == 1`` path).
-* :class:`ProcessPoolFabricExecutor` -- a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with crash
-  recovery: a dead worker (OOM, segfault, SIGKILL) surfaces as
-  ``UnitFailed`` events for the in-flight units and a fresh pool,
-  never as an exception that aborts the campaign.
-* :class:`LocalWorkerFabricExecutor` -- N long-lived worker processes
-  the executor owns outright, fed one unit at a time over per-worker
-  queues with per-cell progress reporting.  This is the shape of
-  multi-machine dispatch: the parent knows exactly which unit each
-  worker holds, detects death by liveness (not by a shared pool
-  breaking), enforces per-cell timeouts by killing the worker, and
-  requeues only the cells the worker never reported.
+* :class:`WorkerExecutor` -- N long-lived worker processes the
+  executor owns outright, fed one unit at a time over per-worker
+  queues with per-cell progress reporting.  The parent knows exactly
+  which unit each worker holds, detects death by liveness, enforces
+  per-cell timeouts by killing only the stuck worker, and requeues
+  only the cells the worker never reported.  A worker whose parent
+  dies exits on its own instead of lingering as an orphan.
 
 Executors never decide policy: they report what happened and the
 scheduler owns retries, error records and checkpointing.
@@ -24,18 +19,19 @@ scheduler owns retries, error records and checkpointing.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import queue as queue_module
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
-import multiprocessing
+from ..runner import execute_cell
 
-from ...errors import CampaignError
-from ..runner import execute_cell, execute_unit
+#: Seconds an idle worker waits on its task queue before checking that
+#: its parent is still alive.
+PARENT_CHECK_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,8 @@ class UnitFailed:
     scheduler requeues or error-records them by retry budget.
 
     ``worker_death`` marks failures where the worker *executing this
-    unit* actually died (crash or timeout-kill), as opposed to
-    collateral damage (a shared pool resetting under an innocent unit)
-    or an orderly abandon.  The scheduler's poison-cell accounting
+    unit* actually died (crash or timeout-kill), as opposed to an
+    orderly abandon.  The scheduler's poison-cell accounting
     attributes a kill to the unit's first unfinished cell only when
     this is set, so innocents never accumulate kills toward
     quarantine.
@@ -124,8 +119,7 @@ class InlineExecutor(ExecutorBase):
 
     name = "inline"
 
-    def __init__(self, workers: int = 1,
-                 cell_timeout_s: Optional[float] = None) -> None:
+    def __init__(self, cell_timeout_s: Optional[float] = None) -> None:
         super().__init__(workers=1, cell_timeout_s=cell_timeout_s)
         self._queue: Deque[WorkUnit] = deque()
 
@@ -153,150 +147,24 @@ class InlineExecutor(ExecutorBase):
         return events
 
 
-@dataclass
-class _TrackedFuture:
-    unit: WorkUnit
-    running_since: Optional[float] = None
-
-
-class ProcessPoolFabricExecutor(ExecutorBase):
-    """Process-pool execution with worker-crash recovery.
-
-    ``concurrent.futures`` poisons *every* outstanding future with
-    :class:`BrokenProcessPool` when any worker dies; this executor
-    converts that into per-unit ``UnitFailed`` events and transparently
-    rebuilds the pool, so one OOM-killed cell costs one retry, not a
-    48-hour campaign.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int = 2,
-                 cell_timeout_s: Optional[float] = None) -> None:
-        super().__init__(workers=workers, cell_timeout_s=cell_timeout_s)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Dict[Any, _TrackedFuture] = {}
-
-    def start(self) -> None:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-
-    def submit(self, unit: WorkUnit) -> None:
-        self.start()
-        future = self._pool.submit(execute_unit, list(unit.payloads))
-        self._futures[future] = _TrackedFuture(unit)
-
-    def _fail_outstanding(self, reason: str,
-                          death_ids: "frozenset[int]" = frozenset()
-                          ) -> List[Event]:
-        # Only the units whose worker actually died (``death_ids``)
-        # carry worker_death; the rest are collateral of the shared
-        # pool resetting and must not count toward poison quarantine.
-        events: List[Event] = [
-            UnitFailed(t.unit.unit_id, t.unit.payloads, reason,
-                       worker_death=t.unit.unit_id in death_ids)
-            for t in self._futures.values()
-        ]
-        self._futures.clear()
-        return events
-
-    def _rebuild_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # Reach into the pool to kill stuck workers before the
-            # fresh pool starts; shutdown() alone would block on (or
-            # leak) a worker that is looping or hung.
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.kill()
-                except Exception:  # noqa: BLE001 - best-effort teardown
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-        self.start()
-
-    def poll(self, timeout: float = 0.25) -> List[Event]:
-        if not self._futures:
-            return []
-        done, _ = wait(
-            set(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        events: List[Event] = []
-        broken = False
-        for future in done:
-            tracked = self._futures.pop(future)
-            unit = tracked.unit
-            try:
-                results = future.result()
-            except BrokenProcessPool:
-                broken = True
-                events.append(
-                    UnitFailed(unit.unit_id, unit.payloads,
-                               "worker process died", worker_death=True)
-                )
-            except Exception as exc:  # noqa: BLE001 - executor fault
-                events.append(
-                    UnitFailed(unit.unit_id, unit.payloads,
-                               f"executor failure: {exc}")
-                )
-            else:
-                events.extend(
-                    CellDone(unit.unit_id, result) for result in results
-                )
-        if broken:
-            events.extend(self._fail_outstanding("worker process died"))
-            self._rebuild_pool()
-            return events
-        if self.cell_timeout_s is not None:
-            now = time.monotonic()
-            expired: "set[int]" = set()
-            for future, tracked in self._futures.items():
-                if future.running() and tracked.running_since is None:
-                    tracked.running_since = now
-                if (
-                    tracked.running_since is not None
-                    and now - tracked.running_since > self.cell_timeout_s
-                ):
-                    expired.add(tracked.unit.unit_id)
-            if expired:
-                # One shared pool: killing the stuck worker kills the
-                # pool, so every in-flight unit restarts on the fresh
-                # one (their completed cells were already reported).
-                # Only the expired units count as worker deaths.
-                events.extend(self._fail_outstanding(
-                    f"cell timeout after {self.cell_timeout_s:.1f}s "
-                    "(pool reset)", death_ids=frozenset(expired)
-                ))
-                self._rebuild_pool()
-        return events
-
-    def outstanding(self) -> int:
-        return len(self._futures)
-
-    def abandon(self) -> List[UnitFailed]:
-        events = [
-            UnitFailed(t.unit.unit_id, t.unit.payloads,
-                       "executor abandoned")
-            for t in self._futures.values()
-        ]
-        self._futures.clear()
-        return events
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self._futures.clear()
-
-
-def _local_worker_main(worker_id: int, task_queue, result_queue) -> None:
+def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Worker loop: pull a unit, report per-cell progress, repeat.
 
     Runs in a child process.  The ``claim`` message before each cell is
     what lets the parent requeue precisely the unreported cells when
-    this process dies mid-unit.
+    this process dies mid-unit.  Between units the worker checks that
+    the parent it started under is still alive: a SIGKILLed parent
+    cannot shut its workers down, so they exit by themselves
+    (``os._exit`` skips flushing results nobody will read).
     """
+    parent = os.getppid()
     while True:
-        item = task_queue.get()
+        try:
+            item = task_queue.get(timeout=PARENT_CHECK_S)
+        except queue_module.Empty:
+            if os.getppid() != parent:
+                os._exit(0)
+            continue
         if item is None:
             break
         unit_id, payloads = item
@@ -318,16 +186,16 @@ class _WorkerSlot:
     last_progress: float = 0.0
 
 
-class LocalWorkerFabricExecutor(ExecutorBase):
+class WorkerExecutor(ExecutorBase):
     """N owned worker processes fed one unit at a time.
 
-    Models multi-machine dispatch locally: explicit per-worker
-    assignment (the parent always knows which unit each worker holds),
-    liveness-based crash detection, per-cell timeouts enforced by
-    killing the worker, and a replacement worker spawned in its slot.
+    Explicit per-worker assignment (the parent always knows which unit
+    each worker holds), liveness-based crash detection, per-cell
+    timeouts enforced by killing the worker, and a replacement worker
+    spawned in its slot.
     """
 
-    name = "spawn"
+    name = "workers"
 
     def __init__(self, workers: int = 2,
                  cell_timeout_s: Optional[float] = None) -> None:
@@ -348,7 +216,7 @@ class LocalWorkerFabricExecutor(ExecutorBase):
         self._next_worker_id += 1
         task_queue = self._ctx.Queue()
         process = self._ctx.Process(
-            target=_local_worker_main,
+            target=_worker_main,
             args=(worker_id, task_queue, self._result_queue),
             daemon=True,
         )
@@ -482,25 +350,10 @@ class LocalWorkerFabricExecutor(ExecutorBase):
             self._result_queue = None
 
 
-#: executor name -> class; ``auto`` resolves by worker count.
-EXECUTORS = {
-    InlineExecutor.name: InlineExecutor,
-    ProcessPoolFabricExecutor.name: ProcessPoolFabricExecutor,
-    LocalWorkerFabricExecutor.name: LocalWorkerFabricExecutor,
-}
-
-
-def make_executor(name: str, workers: int,
+def make_executor(workers: int,
                   cell_timeout_s: Optional[float] = None) -> ExecutorBase:
-    """Build the executor for a run (``auto`` picks by worker count)."""
-    if name == "auto":
-        name = InlineExecutor.name if workers <= 1 \
-            else ProcessPoolFabricExecutor.name
-    try:
-        cls = EXECUTORS[name]
-    except KeyError:
-        raise CampaignError(
-            f"unknown executor {name!r}; expected one of "
-            f"{('auto',) + tuple(EXECUTORS)}"
-        ) from None
-    return cls(workers=workers, cell_timeout_s=cell_timeout_s)
+    """The executor for a run: inline for one worker, owned workers
+    otherwise."""
+    if workers <= 1:
+        return InlineExecutor(cell_timeout_s=cell_timeout_s)
+    return WorkerExecutor(workers=workers, cell_timeout_s=cell_timeout_s)

@@ -23,7 +23,7 @@ site                      effect when fired
                           worker (until ``times`` is exhausted)
 ``gc.crash``              the process SIGKILLs itself inside the gc
                           compaction crash window (before the atomic
-                          replace / commit)
+                          replace)
 ========================  ====================================================
 
 Determinism and exactly-``times`` semantics come from *firing claims*:
@@ -35,8 +35,8 @@ fault exactly ``times`` times across the whole process tree, every
 run, regardless of scheduling interleavings.
 
 Activation crosses process boundaries by environment: the plan is
-saved to JSON and ``REPRO_FAULT_PLAN`` points at it, so pool/spawn
-workers and real CLI subprocesses all see the same plan.
+saved to JSON and ``REPRO_FAULT_PLAN`` points at it, so worker
+processes and real CLI subprocesses all see the same plan.
 ``REPRO_FAULT_PARENT_PID`` records the orchestrating process; the
 worker-only sites (``cell.crash``, ``cell.hang``,
 ``executor.crashloop``) never fire in that process, which is what lets
@@ -411,9 +411,9 @@ def fire_cell_faults(cell_id: str) -> None:
 def fire_store_append(store: Any, payload: Mapping[str, Any]) -> None:
     """Store-append hook: raise a transient I/O error when claimed.
 
-    ``eio`` / ``enospc`` raise before anything touches the backend;
-    ``torn`` first asks the backend to tear a partial line into its
-    file (``_torn_write``) so the retry path must also heal real crash
+    ``eio`` / ``enospc`` raise before anything touches the file;
+    ``torn`` first asks the store to tear a partial line into its file
+    (``_torn_write``) so the retry path must also heal real crash
     debris, then raises ``EIO`` as the write's failure.
     """
     spec = claim("store.append", payload.get("cell_id"))

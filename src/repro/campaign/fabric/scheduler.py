@@ -15,8 +15,8 @@
 * detects poison cells -- a cell whose worker deaths reach
   ``poison_threshold`` is quarantined with a ``fabric:poison`` record
   instead of burning more respawns -- and breaks crash loops by
-  degrading a repeatedly-dying ``pool``/``spawn`` executor to
-  ``inline`` with a loud warning,
+  degrading a repeatedly-dying worker executor to ``inline`` with a
+  loud warning,
 * persists a checkpoint sidecar (attempt counts, quarantine state,
   degradation, live backoff waits) atomically alongside the store, so
   ``--resume`` after a SIGKILL continues mid-grid with the retry
@@ -55,10 +55,10 @@ from .executors import (
 from .faults import backoff_delay
 from .streaming import StreamingAggregator
 
-#: Checkpoint sidecar name (lives next to / inside the store).
+#: Checkpoint sidecar name (lives next to the store).
 CHECKPOINT_NAME = "fabric.json"
 
-#: Seconds of estimated work one spawn unit should carry once the
+#: Seconds of estimated work one worker unit should carry once the
 #: streaming aggregator has a live cells/s estimate.
 ADAPTIVE_UNIT_SECONDS = 2.0
 
@@ -71,18 +71,14 @@ class FabricConfig:
     """Scheduling policy for one campaign run.
 
     Attributes:
-        workers: Worker count (``1`` stays in-process).
-        executor: ``auto``, ``inline``, ``pool`` or ``spawn``.
-        shard_size: Cells per work unit (``None``: sized per executor
-            -- single-cell units for inline/pool, coarser shards for
-            spawn workers to amortise queue round-trips).
+        workers: Worker count (``1`` stays in-process, more runs owned
+            worker processes).
         max_attempts: Attempts per cell before a synthesized error
             record.
         cell_timeout_s: Per-cell wall-clock budget (``None``: no
             timeout).
         durability: Store durability policy (``None``: fsync every
             record).
-        shards: Shard count for the sharded-directory backend.
         poll_interval_s: Executor poll granularity.
         checkpoint_every: Events between checkpoint writes.
         backoff_base_s: First-retry backoff scale; retries wait
@@ -95,17 +91,14 @@ class FabricConfig:
             record, persisted in the checkpoint sidecar) instead of
             burning more respawns and retry budget.
         crashloop_threshold: Consecutive worker-death polls with zero
-            completed cells before the breaker degrades a ``pool``/
-            ``spawn`` executor to ``inline`` with a loud warning.
+            completed cells before the breaker degrades the worker
+            executor to ``inline`` with a loud warning.
     """
 
     workers: int = 1
-    executor: str = "auto"
-    shard_size: Optional[int] = None
     max_attempts: int = 2
     cell_timeout_s: Optional[float] = None
     durability: "DurabilityPolicy | int | None" = None
-    shards: Optional[int] = None
     poll_interval_s: float = 0.25
     checkpoint_every: int = 8
     backoff_base_s: float = 0.05
@@ -121,10 +114,6 @@ class FabricConfig:
         if self.max_attempts < 1:
             raise CampaignError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.shard_size is not None and self.shard_size < 1:
-            raise CampaignError(
-                f"shard_size must be >= 1, got {self.shard_size}"
             )
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise CampaignError("backoff delays must be >= 0")
@@ -143,23 +132,20 @@ class FabricConfig:
                            cells_per_s: Optional[float] = None) -> int:
         """Cells per unit for this batch of work.
 
-        Inline and pool executors take single-cell units: results land
-        (and persist) per cell, and the pool already amortises dispatch.
-        Spawn workers pay a queue round-trip per unit, so they get
-        coarser shards.  With no throughput estimate yet (the initial
-        submit) the static heuristic applies -- about four units per
-        worker across the run.  Once the streaming aggregator has a
-        live ``cells_per_s``, units are sized to carry roughly
-        :data:`ADAPTIVE_UNIT_SECONDS` of work per worker instead:
+        The inline executor takes single-cell units: results land (and
+        persist) per cell.  Worker processes pay a queue round-trip per
+        unit, so they get coarser shards.  With no throughput estimate
+        yet (the initial submit) the static heuristic applies -- about
+        four units per worker across the run.  Once the streaming
+        aggregator has a live ``cells_per_s``, units are sized to carry
+        roughly :data:`ADAPTIVE_UNIT_SECONDS` of work per worker instead:
         sub-second calibration cells coalesce into coarse units, while
         multi-second paper cells requeue as fine-grained (often
         single-cell) units so a retry never re-runs a long stretch of
         finished work.  Either way the size is capped at
         :data:`MAX_SHARD_SIZE` and at the work actually pending.
         """
-        if self.shard_size is not None:
-            return self.shard_size
-        if self.executor != "spawn":
+        if self.workers == 1:
             return 1
         if cells_per_s and cells_per_s > 0:
             per_unit = int((cells_per_s / self.workers)
@@ -280,10 +266,7 @@ class CampaignScheduler:
             # worker-only fault sites never SIGKILL the orchestrator.
             from .faults import PARENT_PID_ENV
             os.environ.setdefault(PARENT_PID_ENV, str(os.getpid()))
-        store = open_store(
-            self.store_path, durability=config.durability,
-            shards=config.shards,
-        )
+        store = open_store(self.store_path, durability=config.durability)
         completed: set = set()
         recorded: set = set()
         if store.exists():
@@ -335,10 +318,9 @@ class CampaignScheduler:
 
         try:
             # A quarantined cell normally already has its poison record
-            # (appended before the checkpoint was saved); if the record
-            # was lost to a crash between append and fsync, re-settle
-            # it so the campaign still terminates with one final
-            # outcome per cell.
+            # (appended right after the checkpoint was saved); if a
+            # crash lost the record, re-settle it so the campaign still
+            # terminates with one final outcome per cell.
             for cell in cells:
                 if (
                     cell.cell_id in self._quarantined
@@ -366,9 +348,8 @@ class CampaignScheduler:
                        spec_hash: str, record_result: Any,
                        summary: CampaignRunSummary) -> None:
         config = self.config
-        self._executor = make_executor(
-            config.executor, config.workers, config.cell_timeout_s
-        )
+        self._executor = make_executor(config.workers,
+                                       config.cell_timeout_s)
         next_unit_id = 0
 
         def submit(payloads: List[Dict[str, Any]]) -> None:
@@ -526,13 +507,15 @@ class CampaignScheduler:
                 kills = self._worker_kills.get(cell_id, 0) + 1
                 self._worker_kills[cell_id] = kills
                 if kills >= config.poison_threshold:
-                    record_result(self._poison_payload(payload))
                     self._quarantined.add(cell_id)
                     summary.quarantined += 1
-                    # Checkpoint *now*: the quarantine verdict must
-                    # survive a SIGKILL, or a resume would burn fresh
-                    # workers rediscovering the poison.
+                    # Checkpoint *before* the record lands: the verdict
+                    # must survive a SIGKILL, or a resume would burn
+                    # fresh workers rediscovering the poison.  A kill
+                    # between the two leaves a verdict without its
+                    # record, which the resume re-settles.
                     self._save_checkpoint(store)
+                    record_result(self._poison_payload(payload))
                     continue
             attempts = self._attempts.get(cell_id, 0) + 1
             self._attempts[cell_id] = attempts

@@ -3,18 +3,18 @@
 The fabric's core durability claim: a campaign whose parent process is
 SIGKILLed mid-grid (and whose workers crash along the way) and is then
 resumed produces a store *identical in cell content* to an
-uninterrupted run -- same cells, same seeds, same metrics -- on every
-store backend.
+uninterrupted run -- same cells, same seeds, same metrics.
 
-:func:`run_selfcheck` proves it end to end, per backend:
+:func:`run_selfcheck` proves it end to end:
 
 1. **Reference** -- run a paced calibration grid inline, in this
    process, into a scratch JSONL store.  The grid's worker-crash cell
    flags are pre-created so nothing actually crashes here.
 2. **Interrupted** -- run the *same spec* as a real
-   ``python -m repro campaign run`` subprocess (pool executor, crash
-   flags absent so one worker SIGKILLs itself mid-run), poll the store,
-   and SIGKILL the whole run once ``kill_after`` cells have landed.
+   ``python -m repro campaign run`` subprocess (two worker processes,
+   crash flags absent so one worker SIGKILLs itself mid-run), poll the
+   store, and SIGKILL the whole run once ``kill_after`` cells have
+   landed.  The SIGKILLed run's workers must exit on their own.
 3. **Resume** -- run the subprocess again with ``--resume`` and let it
    finish.
 4. **Compare** -- latest-ok content keys per cell
@@ -22,8 +22,8 @@ store backend.
    excludes wall-clock fields and pids) must match the reference
    exactly.
 
-CI runs this for all three backends; the tier-1 suite keeps the two
-cheap ones.
+:func:`run_gc_selfcheck` is its compaction twin: a ``campaign gc``
+SIGKILLed inside its crash window must leave the store untouched.
 """
 
 from __future__ import annotations
@@ -34,36 +34,30 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ...errors import CampaignError
 from ..grids import calibration_campaign
 from ..runner import run_campaign
-from ..spec import CampaignSpec
-from ..stores import BACKENDS, open_store
+from ..stores import open_store
 
-#: backend name -> store basename the backend resolver maps back.
-STORE_NAMES = {
-    "jsonl": "store.jsonl",
-    "sqlite": "store.sqlite",
-    "shards": "store.shards",
-}
+#: Seconds a SIGKILLed run's workers get to notice and exit.
+ORPHAN_GRACE_S = 5.0
 
 
 @dataclass
 class SelfCheckResult:
-    """Outcome of one backend's kill/resume equivalence check.
+    """Outcome of one kill/resume equivalence check.
 
     Attributes:
-        backend: Store backend exercised.
         total: Cells in the calibration grid.
         ok_at_kill: Completed cells observed when SIGKILL was sent.
         killed_mid_grid: Whether the kill landed before completion.
         resumed_executed: Cells the resumed run still had to execute.
-        mismatches: Human-readable content differences (empty = pass).
+        mismatches: Human-readable content differences and orphaned
+            workers (empty = pass).
     """
 
-    backend: str
     total: int
     ok_at_kill: int
     killed_mid_grid: bool
@@ -86,6 +80,29 @@ def _ok_content(store_path: str) -> Dict[str, Tuple]:
     return latest
 
 
+def compare_content(reference: Dict[str, Tuple], store_path: str,
+                    ignore: Sequence[str] = ()) -> List[str]:
+    """Content-key diff between a reference and a survivor store."""
+    survivor = _ok_content(store_path)
+    skip = set(ignore)
+    mismatches: List[str] = []
+    for cell_id in sorted(set(reference) | set(survivor)):
+        if cell_id in skip:
+            continue
+        ref = reference.get(cell_id)
+        got = survivor.get(cell_id)
+        if ref is None:
+            mismatches.append(f"{cell_id}: extra cell in survivor store")
+        elif got is None:
+            mismatches.append(f"{cell_id}: missing from survivor store")
+        elif ref != got:
+            mismatches.append(
+                f"{cell_id}: content differs\n  reference: {ref}\n"
+                f"  survivor:  {got}"
+            )
+    return mismatches
+
+
 def _subprocess_env() -> Dict[str, str]:
     import repro
 
@@ -101,7 +118,7 @@ def _run_cli(spec_path: str, store_path: str, resume: bool,
     command = [
         sys.executable, "-m", "repro", "campaign", "run",
         "--spec-json", spec_path, "--store", store_path,
-        "--workers", "2", "--executor", "pool", "--max-attempts", "3",
+        "--workers", "2", "--max-attempts", "3",
     ]
     if resume:
         command.append("--resume")
@@ -111,6 +128,35 @@ def _run_cli(spec_path: str, store_path: str, resume: bool,
     )
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: probe with signal 0 instead
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def surviving_workers(store_path: str, parent_pid: int,
+                      grace_s: float = ORPHAN_GRACE_S) -> List[int]:
+    """Worker pids of a SIGKILLed run that are still alive after
+    ``grace_s`` (the pids come from the store's cell records)."""
+    pids = {r.worker for r in open_store(store_path).cell_records()}
+    pids -= {0, parent_pid}
+    deadline = time.monotonic() + grace_s
+    while True:
+        alive = sorted(pid for pid in pids if _running(pid))
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.1)
+
+
 def _poll_ok_count(store_path: str) -> int:
     try:
         store = open_store(store_path)
@@ -118,21 +164,19 @@ def _poll_ok_count(store_path: str) -> int:
             return 0
         return len(store.completed_ids())
     except (CampaignError, OSError):
-        return 0  # store not written yet (or mid-write lock)
+        return 0  # store not written yet
 
 
 def run_selfcheck(
-    backend: str,
     workdir: str,
     cells: int = 14,
     spin_ms: float = 40.0,
     kill_after: int = 4,
     deadline_s: float = 120.0,
 ) -> SelfCheckResult:
-    """Prove kill/resume equivalence for one store backend.
+    """Prove kill/resume equivalence end to end.
 
     Args:
-        backend: ``jsonl``, ``sqlite`` or ``shards``.
         workdir: Scratch directory (created if missing).
         cells: Plain no-op cells in the calibration grid (one
             worker-crash cell is added on top).
@@ -145,19 +189,14 @@ def run_selfcheck(
         A :class:`SelfCheckResult`; ``result.ok`` is the verdict.
 
     Raises:
-        CampaignError: Unknown backend, or a subprocess misbehaved in
-            a way that voids the comparison (resume failed outright).
+        CampaignError: A subprocess misbehaved in a way that voids
+            the comparison (resume failed outright).
     """
-    if backend not in BACKENDS:
-        raise CampaignError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{tuple(BACKENDS)}"
-        )
     os.makedirs(workdir, exist_ok=True)
     crash_flag = os.path.join(workdir, "crash.flag")
     spec = calibration_campaign(
         cells=cells, spin_ms=spin_ms, crash_flags=(crash_flag,),
-        name=f"selfcheck-{backend}",
+        name="selfcheck",
     )
 
     # 1. Reference: inline, uninterrupted.  Pre-create the crash flag
@@ -172,7 +211,7 @@ def run_selfcheck(
     # 2. Interrupted run: real CLI subprocess, SIGKILLed mid-grid.
     spec_path = os.path.join(workdir, "spec.json")
     spec.save(spec_path)
-    store_path = os.path.join(workdir, STORE_NAMES[backend])
+    store_path = os.path.join(workdir, "store.jsonl")
     env = _subprocess_env()
     child = _run_cli(spec_path, store_path, resume=False, env=env)
     deadline = time.monotonic() + deadline_s
@@ -182,8 +221,9 @@ def run_selfcheck(
         if time.monotonic() > deadline:
             child.kill()
             child.wait()
+            child.stdout.close()
             raise CampaignError(
-                f"selfcheck[{backend}]: interrupted run exceeded "
+                "selfcheck: interrupted run exceeded "
                 f"{deadline_s:.0f}s"
             )
         ok_at_kill = _poll_ok_count(store_path)
@@ -192,7 +232,17 @@ def run_selfcheck(
             killed = True
             break
         time.sleep(0.05)
+    # Not communicate(): orphaned workers would hold the pipe open.
     child.wait()
+    child.stdout.close()
+    # Nothing shuts the killed run's workers down: they must notice the
+    # dead parent and exit by themselves.
+    orphans = surviving_workers(store_path, child.pid) if killed else []
+    for pid in orphans:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
     # 3. Resume to completion.
     resumed = _run_cli(spec_path, store_path, resume=True, env=env)
@@ -202,32 +252,21 @@ def run_selfcheck(
         resumed.kill()
         resumed.communicate()
         raise CampaignError(
-            f"selfcheck[{backend}]: resume exceeded {deadline_s:.0f}s"
+            f"selfcheck: resume exceeded {deadline_s:.0f}s"
         ) from None
     if resumed.returncode != 0:
         raise CampaignError(
-            f"selfcheck[{backend}]: resume exited "
+            "selfcheck: resume exited "
             f"{resumed.returncode}:\n{output}"
         )
 
     # 4. Compare content keys, cell for cell.
-    interrupted = _ok_content(store_path)
-    mismatches: List[str] = []
-    for cell_id in sorted(set(reference) | set(interrupted)):
-        ref = reference.get(cell_id)
-        got = interrupted.get(cell_id)
-        if ref is None:
-            mismatches.append(f"{cell_id}: extra cell in resumed store")
-        elif got is None:
-            mismatches.append(f"{cell_id}: missing from resumed store")
-        elif ref != got:
-            mismatches.append(
-                f"{cell_id}: content differs\n  reference: {ref}\n"
-                f"  resumed:   {got}"
-            )
+    mismatches = [
+        f"worker {pid} outlived the SIGKILLed run by {ORPHAN_GRACE_S:.0f}s"
+        for pid in orphans
+    ] + compare_content(reference, store_path)
     resumed_executed = spec.cell_count() - ok_at_kill
     return SelfCheckResult(
-        backend=backend,
         total=spec.cell_count(),
         ok_at_kill=ok_at_kill,
         killed_mid_grid=killed,
@@ -236,20 +275,11 @@ def run_selfcheck(
     )
 
 
-def run_all_selfchecks(workdir: str, **kwargs: object) -> List[SelfCheckResult]:
-    """Run the kill/resume check for every registered backend."""
-    return [
-        run_selfcheck(backend, os.path.join(workdir, backend), **kwargs)
-        for backend in BACKENDS
-    ]
-
-
 @dataclass
 class GcSelfCheckResult:
-    """Outcome of one backend's gc-crash atomicity check.
+    """Outcome of one gc-crash atomicity check.
 
     Attributes:
-        backend: Store backend exercised.
         gc_returncode: Exit status of the SIGKILLed ``campaign gc``
             (should be ``-SIGKILL``).
         errors_dropped: Superseded error records the clean re-gc
@@ -257,7 +287,6 @@ class GcSelfCheckResult:
         mismatches: Human-readable problems (empty = pass).
     """
 
-    backend: str
     gc_returncode: int
     errors_dropped: int
     mismatches: List[str] = field(default_factory=list)
@@ -269,24 +298,21 @@ class GcSelfCheckResult:
 
 
 def run_gc_selfcheck(
-    backend: str,
     workdir: str,
     cells: int = 6,
     deadline_s: float = 60.0,
 ) -> GcSelfCheckResult:
-    """Prove gc compaction is atomic under SIGKILL for one backend.
+    """Prove gc compaction is atomic under SIGKILL.
 
     Builds a store with real debris (a worker-crash cell whose error
     record is later superseded by a clean resume), then runs
     ``repro campaign gc`` as a subprocess with a ``gc.crash`` fault
     plan in its environment -- the fault plane SIGKILLs the gc inside
-    its crash window (before the atomic rename for the line-append
-    backends; between DELETE and commit for sqlite).  The store must
+    its crash window (before the atomic rename).  The store must
     be untouched: every cell's content identical, the superseded error
     debris still present for a clean re-gc to drop.
 
     Args:
-        backend: ``jsonl``, ``sqlite`` or ``shards``.
         workdir: Scratch directory (created if missing).
         cells: Plain no-op cells in the grid (one crash cell added).
         deadline_s: Per-subprocess wall-clock budget.
@@ -296,11 +322,6 @@ def run_gc_selfcheck(
     """
     from .faults import FaultPlan, FaultSpec
 
-    if backend not in BACKENDS:
-        raise CampaignError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{tuple(BACKENDS)}"
-        )
     os.makedirs(workdir, exist_ok=True)
 
     # 1. Debris: the crash cell's first attempt kills its worker with
@@ -309,13 +330,11 @@ def run_gc_selfcheck(
     crash_flag = os.path.join(workdir, "crash.flag")
     spec = calibration_campaign(
         cells=cells, spin_ms=0.0, crash_flags=(crash_flag,),
-        name=f"gc-selfcheck-{backend}",
+        name="gc-selfcheck",
     )
-    store_path = os.path.join(workdir, STORE_NAMES[backend])
-    run_campaign(spec, store_path, workers=2, executor="pool",
-                 max_attempts=1)
-    run_campaign(spec, store_path, workers=2, executor="pool",
-                 max_attempts=1, resume=True)
+    store_path = os.path.join(workdir, "store.jsonl")
+    run_campaign(spec, store_path, workers=2, max_attempts=1)
+    run_campaign(spec, store_path, workers=2, max_attempts=1, resume=True)
     before = _ok_content(store_path)
     mismatches: List[str] = []
     if len(before) != spec.cell_count():
@@ -346,7 +365,7 @@ def run_gc_selfcheck(
         child.kill()
         child.communicate()
         raise CampaignError(
-            f"gc-selfcheck[{backend}]: killed gc exceeded {deadline_s:.0f}s"
+            f"gc-selfcheck: killed gc exceeded {deadline_s:.0f}s"
         ) from None
     if child.returncode != -signal.SIGKILL:
         mismatches.append(
@@ -379,7 +398,6 @@ def run_gc_selfcheck(
         if _ok_content(store_path) != before:
             mismatches.append("store content changed across the clean re-gc")
     return GcSelfCheckResult(
-        backend=backend,
         gc_returncode=child.returncode,
         errors_dropped=errors_dropped,
         mismatches=mismatches,

@@ -170,7 +170,7 @@ class StreamingAggregator:
 
         ``None`` until two records have arrived (or when they all
         landed in the same instant, e.g. a resume seed).  The scheduler
-        reads this to size spawn work units adaptively.
+        reads this to size worker units adaptively.
         """
         return self._rate()
 

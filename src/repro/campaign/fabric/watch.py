@@ -1,17 +1,15 @@
-"""Live campaign status: tail any store backend, read-only.
+"""Live campaign status: tail a store, read-only.
 
-``repro campaign watch <store>`` attaches to a store that another
-process is writing -- JSONL file, sqlite database or sharded directory
--- and folds newly-appended records through a
+``repro campaign watch <store>`` attaches to a JSONL store that another
+process is writing and folds newly-appended records through a
 :class:`~repro.campaign.fabric.streaming.StreamingAggregator`,
 printing throughput, ETA, per-kind progress and recent failures on
 each tick.  With ``--report`` it also keeps a Markdown report file
 refreshed in place, so the paper tables grow live during a 48-hour
 run.
 
-Watching never writes to the store: backends only hand out read
-handles for :meth:`tail`, and the cursor is backend-opaque (a byte
-offset, a sqlite sequence number, a per-shard offset map).
+Watching never writes to the store: :meth:`tail` only opens read
+handles, and its cursor is the byte offset read so far.
 """
 
 from __future__ import annotations
@@ -144,7 +142,7 @@ def watch_store(
     """Tail a store until its campaign completes (or ``once``).
 
     Args:
-        store_path: Any store backend path/URI; must exist already.
+        store_path: Store path; must exist already.
         interval_s: Seconds between polls.
         once: Render a single snapshot and return (status check).
         report_path: Keep a Markdown report refreshed here each tick

@@ -5,16 +5,15 @@ subtracts the cells already completed in the store (``resume``), and
 executes the remainder through the campaign fabric
 (:mod:`repro.campaign.fabric`): cells are sharded into work units and
 dispatched through an executor -- in-process when ``workers == 1``
-(pure, debuggable, no forks), a crash-recovering process pool, or N
-owned local worker processes modeling multi-machine dispatch.  Each
-cell runs with the scale reseeded to the cell's derived seed, so
-results are identical whether a cell runs serially, in a pool, today
-or in a resumed run next week.  Only the parent process writes to the
-store: workers return plain dicts and the parent appends records as
-they arrive.
+(pure, debuggable, no forks), otherwise N owned, crash-recovering
+worker processes.  Each cell runs with the scale reseeded to the
+cell's derived seed, so results are identical whether a cell runs
+serially, on a worker, today or in a resumed run next week.  Only the
+parent process writes to the store: workers return plain dicts and the
+parent appends records as they arrive.
 
-This module keeps the cell-level primitives (:func:`execute_cell`,
-:func:`execute_unit`) that workers actually run; scheduling policy --
+This module keeps the cell-level primitive (:func:`execute_cell`)
+that workers actually run; scheduling policy --
 retries, timeouts, checkpoints, streaming aggregation -- lives in
 :class:`repro.campaign.fabric.CampaignScheduler`.
 """
@@ -25,7 +24,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..errors import CampaignError
 from ..experiments.scale import ExperimentScale
@@ -77,9 +76,9 @@ class CampaignRunSummary:
 def execute_cell(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one cell and return its record payload.
 
-    Module-level and dict-in/dict-out so it pickles cleanly across the
-    process pool; also the ``workers == 1`` code path, so both modes
-    share one implementation.
+    Module-level and dict-in/dict-out so it crosses the worker queues
+    cleanly; also the ``workers == 1`` code path, so both modes share
+    one implementation.
     """
     if os.environ.get("REPRO_FAULT_PLAN"):
         # The fault plane's cell sites (crash/hang/slow) fire here, in
@@ -117,17 +116,6 @@ def execute_cell(payload: Mapping[str, Any]) -> Dict[str, Any]:
     return record
 
 
-def execute_unit(
-    payloads: Sequence[Mapping[str, Any]]
-) -> List[Dict[str, Any]]:
-    """Run one work unit (a shard of cells) and return its records.
-
-    The pool executor ships whole units to amortise dispatch overhead;
-    a unit is just its cells run in order.
-    """
-    return [execute_cell(payload) for payload in payloads]
-
-
 def _cell_payload(cell: CampaignCell, spec: CampaignSpec,
                   spec_hash: str) -> Dict[str, Any]:
     return {
@@ -146,12 +134,9 @@ def run_campaign(
     workers: int = 1,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    executor: str = "auto",
-    shard_size: Optional[int] = None,
     max_attempts: int = 2,
     cell_timeout_s: Optional[float] = None,
     durability: Optional[DurabilityPolicy] = None,
-    shards: Optional[int] = None,
     backoff_base_s: float = 0.05,
     backoff_cap_s: float = 2.0,
     poison_threshold: int = 3,
@@ -161,17 +146,12 @@ def run_campaign(
 
     Args:
         spec: The campaign definition.
-        store_path: Store path or URI; the backend is chosen by
-            :func:`repro.campaign.stores.resolve_backend` (JSONL file,
-            ``.sqlite`` database, or sharded directory).
-        workers: Worker count; ``1`` runs every cell in-process.
+        store_path: Path of the JSONL store.
+        workers: Worker count; ``1`` runs every cell in-process, more
+            runs them on that many owned worker processes.
         resume: Extend an existing store, skipping completed cells.
             The store's spec hash must match ``spec`` exactly.
         progress: Optional per-cell callback.
-        executor: ``auto`` (inline for one worker, pool otherwise),
-            ``inline``, ``pool``, or ``spawn`` (owned local workers).
-        shard_size: Cells per dispatched work unit (default: sized by
-            the scheduler for the executor).
         max_attempts: Attempts per cell before a synthesized error
             record (crashed/timed-out attempts produce no record of
             their own).
@@ -179,14 +159,13 @@ def run_campaign(
             the worker and consumes one attempt.
         durability: Store durability policy (default: fsync on every
             record).
-        shards: Shard count for the sharded-directory backend.
         backoff_base_s: First-retry backoff scale (retries wait an
             exponentially-growing, deterministically-jittered delay).
         backoff_cap_s: Upper bound the retry backoff saturates at.
         poison_threshold: Worker deaths attributed to one cell before
             it is quarantined with a ``fabric:poison`` record.
         crashloop_threshold: Consecutive no-progress worker-death
-            polls before a ``pool``/``spawn`` executor is degraded to
+            polls before the worker executor is degraded to
             ``inline``.
 
     Returns:
@@ -198,18 +177,15 @@ def run_campaign(
             or ``workers < 1``.
         StoreIntegrityError: Resuming with a changed spec.
     """
-    # Imported lazily: the fabric imports execute_cell/execute_unit
-    # from this module at import time.
+    # Imported lazily: the fabric imports execute_cell from this
+    # module at import time.
     from .fabric import CampaignScheduler, FabricConfig
 
     config = FabricConfig(
         workers=workers,
-        executor=executor,
-        shard_size=shard_size,
         max_attempts=max_attempts,
         cell_timeout_s=cell_timeout_s,
         durability=durability,
-        shards=shards,
         backoff_base_s=backoff_base_s,
         backoff_cap_s=backoff_cap_s,
         poison_threshold=poison_threshold,

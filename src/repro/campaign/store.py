@@ -7,13 +7,12 @@ that created it, and a crash mid-campaign loses at most the in-flight
 cell -- every completed cell survives, so ``resume`` is a set
 difference between the spec's expansion and the ids already persisted.
 
-This module defines the pieces every backend shares -- the
-:class:`CellRecord` schema, the :class:`DurabilityPolicy`, and the
-:class:`CampaignStoreBase` interface -- plus the original JSONL
-backend (:class:`JsonlCampaignStore`).  The sqlite and sharded
-directory backends live in :mod:`repro.campaign.store_sqlite` and
-:mod:`repro.campaign.store_shards`; :func:`repro.campaign.stores.open_store`
-selects a backend from the store path.
+This module defines the :class:`CellRecord` schema, the
+:class:`DurabilityPolicy`, the :class:`CampaignStoreBase` interface
+(spec-shaped behaviour: initialise, header caching, spec verification,
+record hydration, hardened appends) and its one backend, the
+append-only JSONL file (:class:`JsonlCampaignStore`).
+:func:`repro.campaign.stores.open_store` opens a store by path.
 
 ``CampaignStore`` remains an alias of the JSONL backend so existing
 callers (and stores on disk) keep working unchanged.
@@ -186,8 +185,7 @@ class GcStats:
         records_kept: Cell records surviving the rewrite.
         errors_dropped: Error records dropped because a later ``ok``
             record superseded them (latest-wins, same as resume).
-        debris_bytes: Bytes of torn-tail crash debris healed away
-            (always 0 for backends without line-level appends).
+        debris_bytes: Bytes of torn-tail crash debris healed away.
     """
 
     records_kept: int
@@ -224,7 +222,7 @@ def partition_superseded(
 
 
 def build_header(spec: CampaignSpec) -> Dict[str, Any]:
-    """The header payload every backend persists at initialise time."""
+    """The header payload a store persists at initialise time."""
     return {
         "type": HEADER_TYPE,
         "name": spec.name,
@@ -238,15 +236,12 @@ def build_header(spec: CampaignSpec) -> Dict[str, Any]:
 class CampaignStoreBase(ABC):
     """Backend interface for campaign persistence.
 
-    Concrete backends implement existence, header I/O, appends and
-    (incremental) reads; everything spec-shaped -- initialise, header
-    caching, spec verification, record hydration -- is shared here so
-    the scheduler, aggregator and watch code never see backend
-    details.
+    The backend implements existence, header I/O, appends, (incremental)
+    reads and compaction; everything spec-shaped -- initialise, header
+    caching, spec verification, record hydration, append retries -- is
+    shared here so the scheduler, aggregator and watch code never see
+    file details.
     """
-
-    #: Short name used in CLI output and the backend registry.
-    backend = "base"
 
     def __init__(self, path: str,
                  durability: "DurabilityPolicy | int | None" = None) -> None:
@@ -287,6 +282,25 @@ class CampaignStoreBase(ABC):
         safe while another process appends (``campaign watch``).
         """
 
+    @abstractmethod
+    def _recover_append(self) -> None:
+        """Reset append state after a transient write failure, so the
+        next try starts from a clean handle and a healed tail."""
+
+    @abstractmethod
+    def gc(self) -> GcStats:
+        """Compact the store in place.
+
+        Drops error records superseded by a later ``ok`` for the same
+        cell and heals torn-tail crash debris by rewriting only
+        complete records.  The rewrite is atomic, the header survives
+        unchanged, and nothing a resume, report or watch would use is
+        ever removed.
+
+        Raises:
+            CampaignError: The store does not exist.
+        """
+
     def flush(self) -> None:
         """Force buffered appends to disk (a durability barrier)."""
 
@@ -319,7 +333,7 @@ class CampaignStoreBase(ABC):
         if not self.exists():
             raise CampaignError(f"no campaign store at {self.path!r}")
         header = self._load_header()
-        if header is None or header.get("type") != HEADER_TYPE:
+        if not isinstance(header, dict) or header.get("type") != HEADER_TYPE:
             raise StoreIntegrityError(
                 f"{self.path!r} does not start with a campaign header"
             )
@@ -353,10 +367,8 @@ class CampaignStoreBase(ABC):
     def cell_records(self) -> List[CellRecord]:
         """Every persisted cell record.
 
-        Ordering contract: records of the *same cell* appear in append
-        order (so latest-wins dedup is well defined); backends may
-        interleave records of different cells (the sharded store reads
-        shard by shard).
+        Records come back in append order, so latest-wins dedup per
+        cell is well defined.
         """
         return [CellRecord.from_dict(p) for p in self._iter_payloads()]
 
@@ -404,42 +416,9 @@ class CampaignStoreBase(ABC):
                     base_s=0.01, cap_s=0.2,
                 ))
 
-    def _recover_append(self) -> None:
-        """Reset append state after a transient write failure.
-
-        Backends with persistent handles reopen them here so the next
-        try starts from a clean handle (and, for line-append backends,
-        a healed tail).  The base implementation is a no-op.
-        """
-
-    def _torn_write(self, payload: Dict[str, Any]) -> None:
-        """Tear a partial line into the backend's file (fault plane).
-
-        Only meaningful for line-append backends; the default is a
-        no-op so injecting ``torn`` into a backend without a torn-write
-        concept degrades to a plain transient error.
-        """
-
     def sidecar_path(self, name: str) -> str:
         """Where scheduler sidecar state (checkpoints) lives."""
         return f"{self.path}.{name}"
-
-    def gc(self) -> GcStats:
-        """Compact the store in place.
-
-        Drops error records superseded by a later ``ok`` for the same
-        cell and (for line-append backends) heals torn-tail crash
-        debris by rewriting only complete records.  The rewrite is
-        atomic per file, the header survives unchanged, and nothing a
-        resume, report or watch would use is ever removed.
-
-        Raises:
-            CampaignError: The backend does not support compaction, or
-                the store does not exist.
-        """
-        raise CampaignError(
-            f"{self.backend} store {self.path!r} does not support gc"
-        )
 
     def __enter__(self) -> "CampaignStoreBase":
         return self
@@ -449,7 +428,7 @@ class CampaignStoreBase(ABC):
 
 
 # --------------------------------------------------------------------- #
-# JSONL helpers shared with the sharded-directory backend.
+# JSONL file helpers.
 # --------------------------------------------------------------------- #
 
 def iter_jsonl_payloads(
@@ -548,8 +527,6 @@ class JsonlCampaignStore(CampaignStoreBase):
     is fsynced.
     """
 
-    backend = "jsonl"
-
     def __init__(self, path: str,
                  durability: "DurabilityPolicy | int | None" = None) -> None:
         super().__init__(path, durability)
@@ -562,9 +539,15 @@ class JsonlCampaignStore(CampaignStoreBase):
         return os.path.exists(self.path) and os.path.getsize(self.path) > 0
 
     def _load_header(self) -> Optional[Dict[str, Any]]:
-        for payload, _ in iter_jsonl_payloads(self.path):
-            return payload
-        return None
+        # Only the first line: a file that is not a JSONL store (an
+        # old sqlite database, say) must read as a foreign header, not
+        # trip over mid-file "corruption".
+        with open(self.path, "rb") as handle:
+            first = handle.readline()
+        try:
+            return json.loads(first.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return None
 
     def _iter_payloads(self) -> Iterator[Dict[str, Any]]:
         for payload, _ in iter_jsonl_payloads(self.path):
@@ -630,6 +613,8 @@ class JsonlCampaignStore(CampaignStoreBase):
             self._unsynced = 0
 
     def _torn_write(self, payload: Dict[str, Any]) -> None:
+        """Tear a partial line into the file (the fault plane's
+        ``store.append`` ``torn`` mode)."""
         with open(self.path, "ab") as handle:
             handle.write(b'{"type": "cell", "cell_id": "to')
             handle.flush()

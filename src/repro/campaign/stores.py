@@ -1,82 +1,48 @@
-"""Store backend selection: one path/URI in, one backend out.
+"""Store opening: one path in, one JSONL store out.
 
-The backend is inferred from the store path::
-
-    campaign.jsonl             -> JSONL single file (the default)
-    campaign.sqlite / .db      -> sqlite database
-    campaign.shards/ (a dir)   -> sharded directory
-
-or forced with a URI-style prefix: ``jsonl:...``, ``sqlite:...``,
-``shards:...``.  Every campaign entry point (runner, status, report,
-watch) goes through :func:`open_store`, so any backend works anywhere
-a store path is accepted.
+Every campaign entry point (runner, status, report, watch, gc) goes
+through :func:`open_store`.  Campaigns persist to a single append-only
+JSONL file; paths that named the sqlite or sharded-directory backends
+of earlier releases (a ``sqlite:``/``shards:`` prefix, or a directory)
+are refused by name instead of being misread as JSONL.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Type
 
 from ..errors import CampaignError
-from .store import CampaignStoreBase, DurabilityPolicy, JsonlCampaignStore
-from .store_shards import ShardedCampaignStore
-from .store_sqlite import SqliteCampaignStore
+from .store import DurabilityPolicy, JsonlCampaignStore
 
-#: scheme prefix -> backend class.
-BACKENDS: Dict[str, Type[CampaignStoreBase]] = {
-    "jsonl": JsonlCampaignStore,
-    "sqlite": SqliteCampaignStore,
-    "shards": ShardedCampaignStore,
-}
-
-#: file extensions that imply the sqlite backend.
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-#: suffixes that imply the sharded-directory backend.
-_SHARDS_SUFFIXES = (".shards", ".sharddir")
-
-
-def resolve_backend(path: str) -> "tuple[str, str]":
-    """Split a store path into ``(backend_name, concrete_path)``."""
-    for scheme in BACKENDS:
-        prefix = scheme + ":"
-        if path.startswith(prefix):
-            rest = path[len(prefix):]
-            if not rest:
-                raise CampaignError(f"store URI {path!r} is missing a path")
-            return scheme, rest
-    lowered = path.lower()
-    if lowered.endswith(_SQLITE_SUFFIXES):
-        return "sqlite", path
-    if (
-        lowered.rstrip("/").endswith(_SHARDS_SUFFIXES)
-        or path.endswith(("/", os.sep))
-        or os.path.isdir(path)
-    ):
-        return "shards", path
-    return "jsonl", path
+#: URI prefixes of the removed store backends.
+_REMOVED_SCHEMES = ("sqlite:", "shards:")
 
 
 def open_store(
     path: str,
     durability: "DurabilityPolicy | int | None" = None,
-    **backend_kwargs: object,
-) -> CampaignStoreBase:
-    """Open (not create) the store backend selected by ``path``.
+) -> JsonlCampaignStore:
+    """Open (not create) the JSONL store at ``path``.
 
     Args:
-        path: Store path or ``scheme:path`` URI.
-        durability: Append durability policy (fsync/commit cadence),
-            see :class:`~repro.campaign.store.DurabilityPolicy`.
-        **backend_kwargs: Backend extras (e.g. ``shards=16`` for a new
-            sharded store).
+        path: Store file path.
+        durability: Append durability policy (fsync cadence), see
+            :class:`~repro.campaign.store.DurabilityPolicy`.
+
+    Raises:
+        CampaignError: ``path`` is empty or names a removed backend.
     """
     if not path:
         raise CampaignError("a store needs a path")
-    backend, concrete = resolve_backend(path)
-    cls = BACKENDS[backend]
-    # ``shards=None`` means "backend default" everywhere, and only the
-    # sharded backend takes the kwarg at all.
-    if backend != "shards" or backend_kwargs.get("shards") is None:
-        backend_kwargs.pop("shards", None)
-    return cls(concrete, durability=durability, **backend_kwargs)
+    for scheme in _REMOVED_SCHEMES:
+        if path.startswith(scheme):
+            raise CampaignError(
+                f"store {path!r}: the {scheme[:-1]} backend was removed; "
+                "campaign stores are JSONL files"
+            )
+    if path.endswith(("/", os.sep)) or os.path.isdir(path):
+        raise CampaignError(
+            f"store {path!r} is a directory: the shards backend was "
+            "removed; campaign stores are JSONL files"
+        )
+    return JsonlCampaignStore(path, durability=durability)

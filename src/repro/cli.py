@@ -34,17 +34,16 @@ resumable grids over platform x scenario x network condition::
     # retry's ok superseded, heal torn-tail crash debris.
     python -m repro campaign gc --store campaign.jsonl
 
-Stores are pluggable: ``--store results.sqlite`` uses the indexed
-sqlite backend, ``--store results.shards/`` a sharded directory;
-``campaign watch`` and ``report`` work on any of them.  ``campaign
-selfcheck`` proves the fabric's durability claim end to end (SIGKILL
-mid-grid, resume, byte-compare cell content against an uninterrupted
-run; plus a SIGKILL inside ``gc``'s compaction crash window proving
-the rewrite atomic).  ``campaign chaos`` is its fault-injection twin:
-a deterministic fault matrix (worker crashes, hangs, torn/failing
-store appends, checkpoint corruption, crash loops, poison cells)
-against every backend, asserting the surviving store is bit-identical
-in cell content to a clean run.
+Stores are append-only JSONL files.  ``--workers N`` above 1 runs
+cells on N owned worker processes that survive crashes and timeouts.
+``campaign selfcheck`` proves the fabric's durability claim end to
+end (SIGKILL mid-grid, resume, byte-compare cell content against an
+uninterrupted run, and check the killed run left no worker behind;
+plus a SIGKILL inside ``gc``'s compaction crash window proving the
+rewrite atomic).  ``campaign chaos`` is its fault-injection twin: one
+deterministic case per fault class (worker crashes, hangs, torn store
+appends, checkpoint corruption, crash loops, poison cells), asserting
+the surviving store is bit-identical in cell content to a clean run.
 
 ``campaign run --smoke`` substitutes a seconds-long 2x2 grid (an
 end-to-end check used by CI); ``--paper-scale`` runs the full
@@ -64,7 +63,7 @@ from .campaign.aggregate import report_from_store, status_table
 from .campaign.grids import calibration_campaign, paper_campaign, smoke_campaign
 from .campaign.runner import run_campaign
 from .campaign.spec import KNOWN_KINDS, CampaignSpec
-from .campaign.stores import BACKENDS, open_store
+from .campaign.stores import open_store
 from .errors import ReproError
 from .experiments.dynamics_study import DYNAMICS_SCENARIOS, run_dynamics_cell
 from .experiments.endpoint_study import run_endpoint_study
@@ -255,12 +254,9 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             workers=args.workers,
             resume=args.resume,
             progress=progress,
-            executor=args.executor,
-            shard_size=args.shard_size,
             max_attempts=args.max_attempts,
             cell_timeout_s=args.cell_timeout,
             durability=args.fsync_every,
-            shards=args.shards,
             backoff_base_s=args.backoff_base,
             backoff_cap_s=args.backoff_cap,
             poison_threshold=args.poison_threshold,
@@ -321,49 +317,42 @@ def cmd_campaign_selfcheck(args: argparse.Namespace) -> int:
     from .campaign.fabric import run_gc_selfcheck, run_selfcheck
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-selfcheck-")
-    backends = args.backends or sorted(BACKENDS)
     failures = 0
-    for backend in backends:
-        try:
-            result = run_selfcheck(
-                backend,
-                workdir=f"{workdir}/{backend}",
-                cells=args.cells,
-                spin_ms=args.spin_ms,
-                kill_after=args.kill_after,
-            )
-        except ReproError as exc:
-            print(f"selfcheck[{backend}]: error: {exc}", file=sys.stderr)
-            failures += 1
-            continue
+    try:
+        result = run_selfcheck(
+            f"{workdir}/kill",
+            cells=args.cells,
+            spin_ms=args.spin_ms,
+            kill_after=args.kill_after,
+        )
+    except ReproError as exc:
+        print(f"selfcheck: error: {exc}", file=sys.stderr)
+        failures += 1
+    else:
         killed = "mid-grid" if result.killed_mid_grid else "after finish"
         if result.ok:
-            print(f"selfcheck[{backend}]: PASS -- {result.total} cells, "
+            print(f"selfcheck: PASS -- {result.total} cells, "
                   f"SIGKILL {killed} at {result.ok_at_kill} ok, "
-                  "store content matches uninterrupted run")
+                  "store content matches uninterrupted run, no "
+                  "orphaned workers")
         else:
-            print(f"selfcheck[{backend}]: FAIL -- "
-                  f"{len(result.mismatches)} mismatching cells "
+            print(f"selfcheck: FAIL -- {len(result.mismatches)} problem(s) "
                   f"(SIGKILL {killed} at {result.ok_at_kill} ok)")
             for mismatch in result.mismatches:
                 print(f"  {mismatch}")
             failures += 1
-    for backend in backends:
-        try:
-            gc_result = run_gc_selfcheck(
-                backend, workdir=f"{workdir}/{backend}-gc"
-            )
-        except ReproError as exc:
-            print(f"gc-selfcheck[{backend}]: error: {exc}", file=sys.stderr)
-            failures += 1
-            continue
+    try:
+        gc_result = run_gc_selfcheck(f"{workdir}/gc")
+    except ReproError as exc:
+        print(f"gc-selfcheck: error: {exc}", file=sys.stderr)
+        failures += 1
+    else:
         if gc_result.ok:
-            print(f"gc-selfcheck[{backend}]: PASS -- gc SIGKILLed in its "
-                  "crash window left the store untouched; clean re-gc "
-                  f"dropped {gc_result.errors_dropped} superseded "
-                  "error record(s)")
+            print("gc-selfcheck: PASS -- gc SIGKILLed in its crash window "
+                  "left the store untouched; clean re-gc dropped "
+                  f"{gc_result.errors_dropped} superseded error record(s)")
         else:
-            print(f"gc-selfcheck[{backend}]: FAIL -- "
+            print(f"gc-selfcheck: FAIL -- "
                   f"{len(gc_result.mismatches)} problem(s)")
             for mismatch in gc_result.mismatches:
                 print(f"  {mismatch}")
@@ -380,7 +369,6 @@ def cmd_campaign_chaos(args: argparse.Namespace) -> int:
     try:
         results = run_chaos_matrix(
             workdir,
-            backends=args.backends,
             faults=args.faults,
             quick=args.quick,
             chaos_seed=args.chaos_seed,
@@ -390,7 +378,7 @@ def cmd_campaign_chaos(args: argparse.Namespace) -> int:
         return 2
     failures = 0
     for result in results:
-        tag = f"chaos[{result.backend}/{result.fault}]"
+        tag = f"chaos[{result.fault}]"
         if result.ok:
             note = f" -- {result.detail}" if result.detail else ""
             print(f"{tag}: PASS -- fault fired {result.fired}x, survivor "
@@ -446,8 +434,7 @@ def _add_campaign_subcommands(
     run = actions.add_parser("run", help="execute a campaign grid")
     _add_scale_args(run)
     run.add_argument("--store", default="campaign.jsonl",
-                     help="result store path: *.jsonl, *.sqlite, or a "
-                          "*.shards/ directory (scheme: prefixes work too)")
+                     help="result store path (a JSONL file)")
     run.add_argument("--platforms", nargs="+", choices=PLATFORM_CHOICES,
                      default=list(PLATFORM_CHOICES))
     run.add_argument("--kinds", nargs="+", choices=KNOWN_KINDS,
@@ -469,12 +456,6 @@ def _add_campaign_subcommands(
                      help="run a no-op calibration grid of this many cells")
     run.add_argument("--spin-ms", type=float, default=0.0,
                      help="busy-wait per calibration cell (ms)")
-    run.add_argument("--executor", default="auto",
-                     choices=("auto", "inline", "pool", "spawn"),
-                     help="auto: inline for 1 worker, pool otherwise; "
-                          "spawn: owned local worker processes")
-    run.add_argument("--shard-size", type=int, default=None,
-                     help="cells per dispatched work unit")
     run.add_argument("--max-attempts", type=int, default=2,
                      help="attempts per cell before a recorded error")
     run.add_argument("--cell-timeout", type=float, default=None,
@@ -483,8 +464,6 @@ def _add_campaign_subcommands(
     run.add_argument("--fsync-every", type=int, default=1, metavar="N",
                      help="fsync the store every N records "
                           "(0 = only on close)")
-    run.add_argument("--shards", type=int, default=None,
-                     help="shard count for a new sharded-directory store")
     run.add_argument("--backoff-base", type=float, default=0.05,
                      metavar="SECONDS",
                      help="first-retry backoff scale (exponential, "
@@ -537,9 +516,6 @@ def _add_campaign_subcommands(
         help="kill/resume equivalence proof: SIGKILL a run mid-grid, "
              "resume, assert the store matches an uninterrupted run",
     )
-    selfcheck.add_argument("--backends", nargs="+", default=None,
-                           choices=sorted(BACKENDS),
-                           help="store backends to prove (default: all)")
     selfcheck.add_argument("--workdir", default=None,
                            help="scratch directory (default: a tempdir)")
     selfcheck.add_argument("--cells", type=int, default=14)
@@ -552,13 +528,9 @@ def _add_campaign_subcommands(
         "chaos",
         help="deterministic fault matrix: inject every fault class "
              "(crashes, hangs, store I/O errors, checkpoint corruption, "
-             "crash loops, poison cells) against every store backend and "
-             "assert the surviving store is bit-identical in cell "
-             "content to a clean run",
+             "crash loops, poison cells) and assert the surviving store "
+             "is bit-identical in cell content to a clean run",
     )
-    chaos.add_argument("--backends", nargs="+", default=None,
-                       choices=sorted(BACKENDS),
-                       help="store backends to torment (default: all)")
     chaos.add_argument("--faults", nargs="+", default=None,
                        help="fault classes to inject (default: all)")
     chaos.add_argument("--workdir", default=None,

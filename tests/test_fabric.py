@@ -2,8 +2,8 @@
 
 Worker crashes here are real: the ``noop`` calibration kind SIGKILLs
 its own worker process on a cell's first attempt (``crash_flag``), so
-the pool-rebuild and spawn-respawn paths are exercised with actual
-dead processes, not mocks.
+the worker-respawn path is exercised with actual dead processes, not
+mocks.
 """
 
 import json
@@ -24,13 +24,18 @@ from repro.campaign import (
 )
 from repro.campaign.fabric.executors import (
     InlineExecutor,
-    LocalWorkerFabricExecutor,
-    ProcessPoolFabricExecutor,
+    WorkerExecutor,
     make_executor,
 )
 from repro.campaign.fabric.scheduler import CHECKPOINT_NAME
 from repro.cli import main
 from repro.errors import CampaignError
+
+
+def content_keys(store_path):
+    return sorted(
+        r.content_key() for r in open_store(store_path).cell_records()
+    )
 
 
 def ok_metrics(store_path):
@@ -41,31 +46,29 @@ def ok_metrics(store_path):
 
 
 class TestExecutors:
-    def test_make_executor_auto(self):
-        assert isinstance(make_executor("auto", 1), InlineExecutor)
-        assert isinstance(make_executor("auto", 3),
-                          ProcessPoolFabricExecutor)
-        assert isinstance(make_executor("spawn", 2),
-                          LocalWorkerFabricExecutor)
+    def test_make_executor_by_worker_count(self):
+        assert isinstance(make_executor(1), InlineExecutor)
+        executor = make_executor(3, cell_timeout_s=2.0)
+        assert isinstance(executor, WorkerExecutor)
+        assert executor.workers == 3 and executor.cell_timeout_s == 2.0
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(CampaignError):
-            make_executor("teleport", 1)
-
-    @pytest.mark.parametrize("executor,workers", [
-        ("inline", 1), ("pool", 2), ("spawn", 2),
+    @pytest.mark.parametrize("workers", [
+        pytest.param(1, id="inline-1"), pytest.param(2, id="workers-2"),
     ])
-    def test_executors_produce_identical_cells(self, tmp_path, executor,
-                                               workers):
-        spec = calibration_campaign(cells=8, name="equiv")
-        path = str(tmp_path / f"{executor}.jsonl")
-        summary = run_campaign(
-            spec, path, workers=workers, executor=executor
-        )
-        assert summary.executed == 8 and summary.failed == 0
-        reference = str(tmp_path / "ref.jsonl")
-        run_campaign(spec, reference, workers=1)
-        assert ok_metrics(path) == ok_metrics(reference)
+    def test_executors_produce_identical_cells(self, tmp_path, workers):
+        """Inline and worker processes store the same cell content, on
+        no-op calibration cells and on the real smoke grid."""
+        from repro.campaign import smoke_campaign
+
+        for spec in (calibration_campaign(cells=8, name="equiv"),
+                     smoke_campaign()):
+            path = str(tmp_path / f"{spec.name}.jsonl")
+            summary = run_campaign(spec, path, workers=workers)
+            assert summary.executed == spec.cell_count()
+            assert summary.failed == 0
+            reference = str(tmp_path / f"{spec.name}-ref.jsonl")
+            run_campaign(spec, reference, workers=1)
+            assert content_keys(path) == content_keys(reference)
 
     def test_invalid_worker_count_rejected(self, tmp_path):
         with pytest.raises(CampaignError):
@@ -84,17 +87,17 @@ class TestExecutors:
         }
         return WorkUnit(unit_id=unit_id, payloads=(payload,))
 
-    @pytest.mark.parametrize("name,workers", [
-        ("inline", 1), ("pool", 2), ("spawn", 2),
+    @pytest.mark.parametrize("workers", [
+        pytest.param(1, id="inline-1"), pytest.param(2, id="workers-2"),
     ])
-    def test_abandon_returns_pending_not_worker_death(self, name, workers):
+    def test_abandon_returns_pending_not_worker_death(self, workers):
         """The crash-loop breaker relies on abandon(): every queued
         payload comes back as an orderly UnitFailed so it can be
         resubmitted elsewhere, with ``worker_death`` unset so abandoned
         cells never accumulate kills toward quarantine."""
         from repro.campaign.fabric.executors import UnitFailed
 
-        executor = make_executor(name, workers)
+        executor = make_executor(workers)
         executor.start()
         try:
             units = [self._unit(i) for i in range(3)]
@@ -107,7 +110,7 @@ class TestExecutors:
         pending = [p for event in abandoned for p in event.pending]
         assert all(isinstance(event, UnitFailed) for event in abandoned)
         assert all(not event.worker_death for event in abandoned)
-        # Units may already be mid-flight (pool/spawn), so abandon
+        # Units may already be mid-flight on workers, so abandon
         # returns a subset; everything it does return must be intact.
         for payload in pending:
             assert payload["kind"] == "noop"
@@ -120,13 +123,10 @@ class TestCrashRecovery:
             cells=cells, crash_flags=(flag,), name="crashy"
         )
 
-    @pytest.mark.parametrize("executor", ["pool", "spawn"])
-    def test_worker_crash_is_retried_not_fatal(self, tmp_path, executor):
+    def test_worker_crash_is_retried_not_fatal(self, tmp_path):
         flag, spec = self.crash_spec(tmp_path)
-        path = str(tmp_path / f"{executor}.jsonl")
-        summary = run_campaign(
-            spec, path, workers=2, executor=executor, max_attempts=3
-        )
+        path = str(tmp_path / "workers.jsonl")
+        summary = run_campaign(spec, path, workers=2, max_attempts=3)
         assert summary.failed == 0
         assert summary.executed == spec.cell_count()
         assert summary.retried >= 1
@@ -142,9 +142,7 @@ class TestCrashRecovery:
         # max_attempts=1 -- the single crash exhausts the budget.
         flag, spec = self.crash_spec(tmp_path, cells=2)
         path = str(tmp_path / "exhaust.jsonl")
-        summary = run_campaign(
-            spec, path, workers=2, executor="pool", max_attempts=1
-        )
+        summary = run_campaign(spec, path, workers=2, max_attempts=1)
         assert summary.failed >= 1
         errors = [r for r in summary.records if not r.ok]
         assert any("fabric:" in r.error and "attempt 1/1" in r.error
@@ -158,8 +156,7 @@ class TestCrashRecovery:
                                     name="stuck")
         path = str(tmp_path / "timeout.jsonl")
         summary = run_campaign(
-            spec, path, workers=1, executor="spawn",
-            max_attempts=1, cell_timeout_s=0.4,
+            spec, path, workers=2, max_attempts=1, cell_timeout_s=0.4,
         )
         assert summary.failed == 1
         assert "timeout" in summary.records[0].error
@@ -167,9 +164,7 @@ class TestCrashRecovery:
     def test_failed_cells_rerun_on_resume(self, tmp_path):
         flag, spec = self.crash_spec(tmp_path, cells=2)
         path = str(tmp_path / "resume.jsonl")
-        first = run_campaign(
-            spec, path, workers=2, executor="pool", max_attempts=1
-        )
+        first = run_campaign(spec, path, workers=2, max_attempts=1)
         assert first.failed >= 1
         # The crash flag now exists, so the rerun succeeds.
         second = run_campaign(
@@ -187,33 +182,31 @@ class TestScheduler:
         with pytest.raises(CampaignError):
             FabricConfig(max_attempts=0)
         with pytest.raises(CampaignError):
-            FabricConfig(shard_size=0)
+            FabricConfig(poison_threshold=0)
 
     def test_shard_sizing(self):
-        assert FabricConfig(executor="pool", workers=4).resolve_shard_size(100) == 1
-        spawn = FabricConfig(executor="spawn", workers=2)
-        assert spawn.resolve_shard_size(64) == 8
-        assert spawn.resolve_shard_size(4) == 1
-        assert FabricConfig(executor="spawn", workers=1,
-                            shard_size=5).resolve_shard_size(64) == 5
+        # Inline runs single-cell units, whatever the rate.
+        inline = FabricConfig(workers=1)
+        assert inline.resolve_shard_size(100) == 1
+        assert inline.resolve_shard_size(64, 8.0) == 1
+        # Workers: about four units per worker across the run.
+        workers = FabricConfig(workers=2)
+        assert workers.resolve_shard_size(64) == 8
+        assert workers.resolve_shard_size(4) == 1
+        assert workers.resolve_shard_size(10_000) == 16  # the cap
 
     def test_adaptive_shard_sizing_from_rate(self):
-        spawn = FabricConfig(executor="spawn", workers=2)
+        workers = FabricConfig(workers=2)
         # No throughput estimate yet: the static heuristic.
-        assert spawn.resolve_shard_size(64, None) == 8
+        assert workers.resolve_shard_size(64, None) == 8
         # 8 cells/s over 2 workers at 2s-of-work units -> 8 cells each.
-        assert spawn.resolve_shard_size(64, 8.0) == 8
+        assert workers.resolve_shard_size(64, 8.0) == 8
         # Slow cells requeue as single-cell units.
-        assert spawn.resolve_shard_size(64, 0.5) == 1
+        assert workers.resolve_shard_size(64, 0.5) == 1
         # Fast cells clamp at the monopolisation cap...
-        assert spawn.resolve_shard_size(1000, 400.0) == 16
+        assert workers.resolve_shard_size(1000, 400.0) == 16
         # ...and never exceed the work actually pending.
-        assert spawn.resolve_shard_size(3, 400.0) == 3
-        # Explicit shard_size still wins; pool stays single-cell.
-        assert FabricConfig(executor="spawn", workers=2,
-                            shard_size=5).resolve_shard_size(64, 8.0) == 5
-        assert FabricConfig(executor="pool",
-                            workers=4).resolve_shard_size(64, 8.0) == 1
+        assert workers.resolve_shard_size(3, 400.0) == 3
 
     def test_checkpoint_cleared_on_completion(self, tmp_path):
         spec = calibration_campaign(cells=3, name="ckpt")
@@ -227,8 +220,7 @@ class TestScheduler:
         spec = calibration_campaign(cells=2, crash_flags=(flag,),
                                     name="ckpt2")
         path = str(tmp_path / "c.jsonl")
-        run_campaign(spec, path, workers=2, executor="pool",
-                     max_attempts=1)
+        run_campaign(spec, path, workers=2, max_attempts=1)
         checkpoint = path + "." + CHECKPOINT_NAME
         assert os.path.exists(checkpoint)
         state = json.load(open(checkpoint))
@@ -240,7 +232,7 @@ class TestScheduler:
 
     def test_scheduler_aggregator_is_live(self, tmp_path):
         spec = calibration_campaign(cells=5, name="live")
-        scheduler = CampaignScheduler(spec, str(tmp_path / "c.sqlite"))
+        scheduler = CampaignScheduler(spec, str(tmp_path / "c.jsonl"))
         scheduler.run()
         snapshot = scheduler.aggregator.snapshot()
         assert snapshot.complete
@@ -367,7 +359,7 @@ class TestStreamingAggregation:
 class TestWatch:
     def test_watch_once_renders_progress(self, tmp_path, capsys):
         spec = calibration_campaign(cells=4, name="watched")
-        path = str(tmp_path / "w.sqlite")
+        path = str(tmp_path / "w.jsonl")
         run_campaign(spec, path, workers=1)
         report_path = str(tmp_path / "live.md")
         snapshot = watch_store(path, once=True, report_path=report_path)
@@ -469,7 +461,7 @@ class TestWatch:
             "attempts": {},
             "kills": {"noop:index=0,spin_ms=0.0": 3},
             "quarantined": ["noop:index=0,spin_ms=0.0"],
-            "degraded": "spawn->inline after 3 consecutive "
+            "degraded": "workers->inline after 3 consecutive "
                         "worker-death polls with no completed cells",
             "backoff": {"noop:index=1,spin_ms=0.0": time_mod.time() + 60},
             "updated_at": time_mod.time(),
@@ -480,7 +472,7 @@ class TestWatch:
         out = capsys.readouterr().out
         assert "1 quarantined poison cell(s)" in out
         assert "noop:index=0,spin_ms=0.0" in out
-        assert "executor degraded -- spawn->inline" in out
+        assert "executor degraded -- workers->inline" in out
         assert "1 cell(s) in retry backoff" in out
 
     def test_watch_tolerates_torn_sidecar(self, tmp_path, capsys):
@@ -496,10 +488,10 @@ class TestWatch:
 
 class TestFabricCli:
     def test_calibration_run_and_watch(self, tmp_path, capsys):
-        store = str(tmp_path / "cal.shards")
+        store = str(tmp_path / "cal.jsonl")
         assert main([
             "campaign", "run", "--calibration", "6", "--store", store,
-            "--workers", "2", "--executor", "pool",
+            "--workers", "2",
         ]) == 0
         capsys.readouterr()
         assert main(["campaign", "watch", "--store", store, "--once"]) == 0
@@ -528,8 +520,7 @@ class TestFabricCli:
         # First run records an error for the crash cell; the resume's
         # retry supersedes it, leaving debris for gc to drop.
         main(["campaign", "run", "--spec-json", spec_path,
-              "--store", store, "--workers", "2", "--executor", "pool",
-              "--max-attempts", "1"])
+              "--store", store, "--workers", "2", "--max-attempts", "1"])
         assert main(["campaign", "run", "--spec-json", spec_path,
                      "--store", store, "--resume"]) == 0
         capsys.readouterr()
@@ -541,26 +532,15 @@ class TestFabricCli:
         assert len(store_obj.cell_records()) == spec.cell_count()
         assert len(store_obj.completed_ids()) == spec.cell_count()
 
-    def test_status_and_report_on_sqlite(self, tmp_path, capsys):
-        store = str(tmp_path / "cli.sqlite")
-        assert main([
-            "campaign", "run", "--calibration", "4", "--store", store,
-        ]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "status", "--store", store]) == 0
-        assert "noop" in capsys.readouterr().out
-        assert main(["campaign", "report", "--store", store]) == 0
-        assert "Scheduler calibration" in capsys.readouterr().out
-
     def test_chaos_subcommand_single_case(self, tmp_path, capsys):
         """One cheap case through the real CLI; the full matrix is the
         CI chaos step's job."""
         assert main([
-            "campaign", "chaos", "--quick", "--backends", "jsonl",
+            "campaign", "chaos", "--quick",
             "--faults", "slow", "--workdir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "chaos[jsonl/slow]: PASS" in out
+        assert "chaos[slow]: PASS" in out
         assert "1/1 cases survived" in out
 
     def test_chaos_rejects_unknown_fault(self, tmp_path, capsys):

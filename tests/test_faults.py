@@ -283,7 +283,7 @@ class TestHardeningIntegration:
         faults.activate(plan, str(tmp_path / "plan.json"))
         summary = run_campaign(
             spec, str(tmp_path / "store.jsonl"),
-            workers=2, executor="spawn", max_attempts=10,
+            workers=2, max_attempts=10,
             poison_threshold=2, backoff_base_s=0.01, backoff_cap_s=0.05,
         )
         assert summary.quarantined == 1
@@ -308,7 +308,7 @@ class TestHardeningIntegration:
         faults.activate(plan, str(tmp_path / "plan.json"))
         summary = run_campaign(
             spec, str(tmp_path / "store.jsonl"),
-            workers=2, executor="spawn", max_attempts=10,
+            workers=2, max_attempts=10,
             crashloop_threshold=3, backoff_base_s=0.01, backoff_cap_s=0.05,
         )
         assert summary.degraded is not None
@@ -318,6 +318,64 @@ class TestHardeningIntegration:
 
 
 class TestQuarantineSurvivesKillResume:
+    def _poison_run(self, tmp_path, spec, store_path):
+        plan = FaultPlan(
+            chaos_seed=0,
+            specs=(FaultSpec("cell.crash", cell_id=_target_cell(spec),
+                             times=99),),
+            state_dir=str(tmp_path / "state"),
+        )
+        faults.activate(plan, str(tmp_path / "plan.json"))
+        try:
+            return run_campaign(
+                spec, store_path, workers=2, max_attempts=10,
+                poison_threshold=2, backoff_base_s=0.01, backoff_cap_s=0.05,
+            )
+        finally:
+            faults.deactivate()
+
+    def test_verdict_is_checkpointed_before_its_record(self, tmp_path,
+                                                       monkeypatch):
+        """A SIGKILL right after the poison record lands must not lose
+        the verdict: the checkpoint already holds it."""
+        from repro.campaign.fabric.scheduler import CHECKPOINT_NAME
+        from repro.campaign.store import CampaignStoreBase
+
+        spec = calibration_campaign(cells=4, spin_ms=5.0, name="verdict")
+        seen = []
+        append = CampaignStoreBase.append_cell
+
+        def checked_append(store, record):
+            if record.error and "fabric:poison" in record.error:
+                with open(store.sidecar_path(CHECKPOINT_NAME)) as handle:
+                    seen.append(json.load(handle)["quarantined"])
+            append(store, record)
+
+        monkeypatch.setattr(CampaignStoreBase, "append_cell", checked_append)
+        self._poison_run(tmp_path, spec, str(tmp_path / "store.jsonl"))
+        assert seen == [[_target_cell(spec)]]
+
+    def test_verdict_without_record_is_resettled_on_resume(self, tmp_path):
+        """A kill between the checkpoint and the record leaves a verdict
+        with no record; the resume records it without running the cell."""
+        spec = calibration_campaign(cells=4, spin_ms=5.0, name="resettle")
+        target = _target_cell(spec)
+        store_path = str(tmp_path / "store.jsonl")
+        self._poison_run(tmp_path, spec, store_path)
+        with open(store_path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(store_path, "w", encoding="utf-8") as handle:
+            handle.writelines(
+                line for line in lines if "fabric:poison" not in line
+            )
+        # No fault plan now: running the cell would store an ok record.
+        summary = run_campaign(spec, store_path, workers=1, resume=True)
+        assert summary.executed == 1 and summary.failed == 1
+        verdicts = [r for r in open_store(store_path).cell_records()
+                    if r.cell_id == target]
+        assert len(verdicts) == 1
+        assert "fabric:poison" in verdicts[0].error
+
     def test_quarantine_state_survives_sigkill_and_resume(self, tmp_path):
         """SIGKILL after the poison verdict; resume must remember it.
 
@@ -346,7 +404,7 @@ class TestQuarantineSurvivesKillResume:
             command = [
                 sys.executable, "-m", "repro", "campaign", "run",
                 "--spec-json", spec_path, "--store", store_path,
-                "--workers", "2", "--executor", "spawn",
+                "--workers", "2",
                 "--max-attempts", "10", "--poison-threshold", "2",
                 "--backoff-base", "0.01",
             ]

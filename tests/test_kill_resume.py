@@ -1,26 +1,26 @@
 """Kill/resume equivalence, the fabric's core durability claim.
 
-Each selfcheck SIGKILLs a real campaign subprocess mid-grid, resumes
+The selfcheck SIGKILLs a real campaign subprocess mid-grid, resumes
 it, and compares the store cell-for-cell against an uninterrupted
 reference run.  Deterministic per-cell seeds make the comparison
 exact: a resumed campaign must be indistinguishable in content from
-one that never died.
-
-The shards backend is covered by the CI selfcheck step; tier-1 keeps
-to jsonl + sqlite so the suite stays fast.
+one that never died.  A SIGKILLed run cannot shut its worker processes
+down, so they must notice the dead parent and exit by themselves; the
+gc selfcheck does the same for a SIGKILLed compaction.
 """
 
+import os
 import signal
+import subprocess
+import sys
+import time
 
-import pytest
+from repro.campaign import open_store, run_gc_selfcheck, run_selfcheck
+from repro.campaign.fabric.selfcheck import _subprocess_env, surviving_workers
 
-from repro.campaign import run_gc_selfcheck, run_selfcheck
 
-
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_kill_mid_grid_then_resume_matches_reference(tmp_path, backend):
+def test_kill_mid_grid_then_resume_matches_reference(tmp_path):
     result = run_selfcheck(
-        backend,
         str(tmp_path),
         cells=10,
         spin_ms=30.0,
@@ -34,16 +34,47 @@ def test_kill_mid_grid_then_resume_matches_reference(tmp_path, backend):
     assert result.resumed_executed >= 1
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_gc_killed_in_crash_window_changes_nothing(tmp_path, backend):
+def test_sigkilled_run_leaves_no_orphan_workers(tmp_path):
+    store_path = str(tmp_path / "orphans.jsonl")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "run",
+         "--store", store_path, "--workers", "2",
+         "--calibration", "200", "--spin-ms", "50"],
+        env=_subprocess_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60.0
+    workers = set()
+    try:
+        # Wait until both workers have stored a cell, then kill mid-grid.
+        while len(workers) < 2:
+            assert child.poll() is None, "the run ended before the kill"
+            assert time.monotonic() < deadline, "workers never reported"
+            time.sleep(0.05)
+            if os.path.exists(store_path):
+                workers = {
+                    r.worker for r in open_store(store_path).cell_records()
+                }
+        os.kill(child.pid, signal.SIGKILL)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.pid not in workers
+    orphans = surviving_workers(store_path, child.pid)  # waits up to 5 s
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert orphans == [], f"workers {orphans} outlived their killed parent"
+
+
+def test_gc_killed_in_crash_window_changes_nothing(tmp_path):
     """Compaction atomicity: a SIGKILLed gc must be a perfect no-op.
 
     The fault plane kills a real ``campaign gc`` subprocess inside its
-    crash window (before the atomic replace for jsonl, between DELETE
-    and commit for sqlite); the store must read back identical, with
-    the superseded-error debris still intact for a clean re-gc.
+    crash window (before the atomic replace); the store must read back
+    identical, with the superseded-error debris still intact for a
+    clean re-gc.
     """
-    result = run_gc_selfcheck(backend, str(tmp_path))
+    result = run_gc_selfcheck(str(tmp_path))
     assert result.gc_returncode == -signal.SIGKILL, (
         "gc subprocess was not killed by the fault plane"
     )

@@ -1,15 +1,15 @@
-"""One contract, three store backends: shared behaviour + corruption.
+"""The campaign store contract: shared behaviour + corruption.
 
-Every test in ``TestStoreContract`` runs against the JSONL, sqlite and
-sharded-directory backends via the ``store_path`` fixture -- the
-backends must be interchangeable everywhere a store path is accepted.
-Corruption cases (truncated tail, mid-file damage, missing or foreign
-header) are part of the contract: crash debris must be tolerated,
-silent data loss must not.
+``TestStoreContract`` pins what every caller relies on (the runner,
+status, report, watch and gc all open stores by path).  Corruption
+cases (truncated tail, mid-file damage, missing or foreign header) are
+part of the contract: crash debris must be tolerated, silent data loss
+must not.  Paths that named the removed sqlite and sharded-directory
+backends must fail loudly instead of being misread as JSONL.
 """
 
 import json
-import os
+import sqlite3
 
 import pytest
 
@@ -18,31 +18,18 @@ from repro.campaign import (
     CellRecord,
     DurabilityPolicy,
     JsonlCampaignStore,
-    ShardedCampaignStore,
-    SqliteCampaignStore,
     open_store,
-    resolve_backend,
     run_campaign,
 )
 from repro.campaign.grids import calibration_campaign
-from repro.campaign.store_shards import shard_index
 from repro.errors import CampaignError, StoreIntegrityError
 
-BACKEND_PATHS = {
-    "jsonl": "store.jsonl",
-    "sqlite": "store.sqlite",
-    "shards": "store.shards",
-}
 
-
-@pytest.fixture(params=sorted(BACKEND_PATHS))
-def backend(request):
-    return request.param
-
-
-@pytest.fixture
-def store_path(tmp_path, backend):
-    return str(tmp_path / BACKEND_PATHS[backend])
+# One backend is left; the ``[jsonl]`` id suffix keeps these tests'
+# ids stable.
+@pytest.fixture(params=["jsonl"])
+def store_path(tmp_path, request):
+    return str(tmp_path / f"store.{request.param}")
 
 
 def spec_of(cells=3, name="contract"):
@@ -61,35 +48,32 @@ def record_for(cell, spec, status="ok"):
 
 
 class TestBackendSelection:
-    def test_by_suffix(self):
-        assert resolve_backend("a/b.jsonl") == ("jsonl", "a/b.jsonl")
-        assert resolve_backend("a/b.sqlite") == ("sqlite", "a/b.sqlite")
-        assert resolve_backend("a/b.db") == ("sqlite", "a/b.db")
-        assert resolve_backend("a/b.shards") == ("shards", "a/b.shards")
-        assert resolve_backend("plain.txt") == ("jsonl", "plain.txt")
-
     def test_by_scheme_prefix(self):
-        assert resolve_backend("sqlite:weird.name") == ("sqlite", "weird.name")
-        assert resolve_backend("shards:out") == ("shards", "out")
-        assert resolve_backend("jsonl:results.db") == ("jsonl", "results.db")
+        for scheme in ("sqlite", "shards"):
+            with pytest.raises(CampaignError,
+                               match=f"the {scheme} backend was removed"):
+                open_store(f"{scheme}:results")
 
     def test_trailing_slash_means_directory(self):
-        assert resolve_backend("campaign/")[0] == "shards"
+        with pytest.raises(CampaignError, match="is a directory"):
+            open_store("campaign/")
 
     def test_existing_directory_means_shards(self, tmp_path):
-        assert resolve_backend(str(tmp_path))[0] == "shards"
+        with pytest.raises(CampaignError,
+                           match="the shards backend was removed"):
+            open_store(str(tmp_path))
 
     def test_empty_scheme_path_rejected(self):
         with pytest.raises(CampaignError):
-            resolve_backend("sqlite:")
+            open_store("sqlite:")
+        with pytest.raises(CampaignError):
+            open_store("")
 
     def test_open_store_classes(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "a.jsonl")),
-                          JsonlCampaignStore)
-        assert isinstance(open_store(str(tmp_path / "a.sqlite")),
-                          SqliteCampaignStore)
-        assert isinstance(open_store(str(tmp_path / "a.shards")),
-                          ShardedCampaignStore)
+        # Any file path is a JSONL store, whatever its suffix.
+        for name in ("a.jsonl", "a.sqlite", "a.db", "plain.txt"):
+            assert isinstance(open_store(str(tmp_path / name)),
+                              JsonlCampaignStore)
 
     def test_campaign_store_alias_is_jsonl(self):
         assert CampaignStore is JsonlCampaignStore
@@ -109,11 +93,9 @@ class TestStoreContract:
         assert reopened.spec_hash() == spec.spec_hash()
         assert reopened.spec().spec_hash() == spec.spec_hash()
         records = reopened.cell_records()
-        # Cross-cell ordering is backend-specific (shards interleave);
-        # the contract is the full set plus per-cell append order.
-        assert sorted(r.cell_id for r in records) == sorted(
+        assert [r.cell_id for r in records] == [
             c.cell_id for c in spec.expand()
-        )
+        ]
         assert reopened.completed_ids() == {
             c.cell_id for c in spec.expand()
         }
@@ -164,14 +146,12 @@ class TestStoreContract:
             store.append_cell(record_for(cell, spec))
         store.flush()
         fresh, cursor = reader.tail(cursor)
-        assert sorted(r.cell_id for r in fresh) == sorted(
-            c.cell_id for c in cells[1:3]
-        )
+        assert [r.cell_id for r in fresh] == [c.cell_id for c in cells[1:3]]
         nothing, cursor = reader.tail(cursor)
         assert nothing == []
         store.close()
 
-    def test_durability_policies_accepted(self, store_path, backend):
+    def test_durability_policies_accepted(self, store_path):
         spec = spec_of()
         for fsync_every, suffix in ((0, "a"), (5, "b")):
             path = store_path.replace("store", f"dur-{suffix}")
@@ -249,8 +229,7 @@ class TestGc:
         with pytest.raises(CampaignError):
             open_store(store_path).gc()
 
-    @pytest.mark.parametrize("backend", ["jsonl", "shards"], indirect=True)
-    def test_gc_heals_torn_tail(self, store_path, backend):
+    def test_gc_heals_torn_tail(self, store_path):
         spec = spec_of(cells=3, name="gctorn")
         cells = spec.expand()
         store = open_store(store_path)
@@ -258,22 +237,15 @@ class TestGc:
         for cell in cells:
             store.append_cell(record_for(cell, spec))
         store.close()
-        target = (
-            store_path if backend == "jsonl"
-            else os.path.join(
-                store_path,
-                f"shard-{shard_index(cells[0].cell_id, open_store(store_path).shard_count()):03d}.jsonl",
-            )
-        )
         debris = '{"type": "cell", "cell_id": "noop:torn'
-        with open(target, "a", encoding="utf-8") as handle:
+        with open(store_path, "a", encoding="utf-8") as handle:
             handle.write(debris)
 
         stats = open_store(store_path).gc()
         assert stats.debris_bytes == len(debris)
         assert stats.records_kept == 3
         # The file really is clean now: raw bytes end on a newline.
-        with open(target, "rb") as handle:
+        with open(store_path, "rb") as handle:
             assert handle.read().endswith(b"\n")
         reopened = open_store(store_path)
         assert reopened.completed_ids() == {c.cell_id for c in cells}
@@ -285,7 +257,7 @@ class TestGc:
 
 
 class TestCrashDebris:
-    """Corruption semantics, per backend."""
+    """Corruption semantics."""
 
     def initialised(self, store_path, cells=3):
         spec = spec_of(cells=cells)
@@ -296,45 +268,23 @@ class TestCrashDebris:
         store.close()
         return spec
 
-    # - JSONL and shards share line-level crash semantics -
-
-    def jsonl_file_of(self, store_path, backend, cell_id):
-        if backend == "jsonl":
-            return store_path
-        index = shard_index(
-            cell_id, open_store(store_path).shard_count()
-        )
-        return os.path.join(store_path, f"shard-{index:03d}.jsonl")
-
-    @pytest.mark.parametrize("backend", ["jsonl", "shards"], indirect=True)
-    def test_truncated_tail_tolerated(self, store_path, backend):
+    def test_truncated_tail_tolerated(self, store_path):
         spec = self.initialised(store_path)
-        target = self.jsonl_file_of(
-            store_path, backend, spec.expand()[0].cell_id
-        )
-        with open(target, "a", encoding="utf-8") as handle:
+        with open(store_path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "cell", "cell_id": "noop:trunc')
         store = open_store(store_path)
         assert len(store.cell_records()) == 3
         assert store.completed_ids() == {c.cell_id for c in spec.expand()}
 
-    @pytest.mark.parametrize("backend", ["jsonl", "shards"], indirect=True)
-    def test_corrupt_final_line_tolerated(self, store_path, backend):
-        spec = self.initialised(store_path)
-        target = self.jsonl_file_of(
-            store_path, backend, spec.expand()[0].cell_id
-        )
-        with open(target, "a", encoding="utf-8") as handle:
+    def test_corrupt_final_line_tolerated(self, store_path):
+        self.initialised(store_path)
+        with open(store_path, "a", encoding="utf-8") as handle:
             handle.write("g@rbage not json\n")
         assert len(open_store(store_path).cell_records()) == 3
 
-    @pytest.mark.parametrize("backend", ["jsonl", "shards"], indirect=True)
-    def test_mid_file_corruption_raises(self, store_path, backend):
+    def test_mid_file_corruption_raises(self, store_path):
         spec = self.initialised(store_path)
-        target = self.jsonl_file_of(
-            store_path, backend, spec.expand()[0].cell_id
-        )
-        with open(target, "a", encoding="utf-8") as handle:
+        with open(store_path, "a", encoding="utf-8") as handle:
             handle.write("g@rbage not json\n")
             handle.write(json.dumps(
                 record_for(spec.expand()[0], spec).to_dict()
@@ -349,34 +299,6 @@ class TestCrashDebris:
         with pytest.raises(StoreIntegrityError):
             open_store(path).header()
 
-    def test_shards_corrupt_header_rejected(self, tmp_path):
-        path = tmp_path / "broken.shards"
-        path.mkdir()
-        (path / "campaign.json").write_text("{not json", encoding="utf-8")
-        with pytest.raises(StoreIntegrityError):
-            open_store(str(path)).header()
-
-    def test_shard_count_comes_from_header(self, tmp_path):
-        # A store created with 4 shards must read as 4 shards even when
-        # reopened with a different default.
-        path = str(tmp_path / "fan.shards")
-        spec = spec_of(cells=6)
-        store = open_store(path, shards=4)
-        store.initialise(spec)
-        for cell in spec.expand():
-            store.append_cell(record_for(cell, spec))
-        store.close()
-        reopened = open_store(path, shards=32)
-        assert reopened.shard_count() == 4
-        assert len(reopened.cell_records()) == 6
-
-    def test_shard_routing_is_stable(self):
-        ids = [f"noop:index={i}" for i in range(64)]
-        first = [shard_index(cell_id, 8) for cell_id in ids]
-        second = [shard_index(cell_id, 8) for cell_id in ids]
-        assert first == second
-        assert len(set(first)) > 1  # actually spreads across shards
-
     def test_sqlite_garbage_file_rejected(self, tmp_path):
         path = str(tmp_path / "garbage.sqlite")
         with open(path, "wb") as handle:
@@ -384,23 +306,27 @@ class TestCrashDebris:
         with pytest.raises((CampaignError, StoreIntegrityError)):
             open_store(path).header()
 
-    def test_sqlite_corrupt_header_rejected(self, tmp_path):
-        path = str(tmp_path / "corrupt.sqlite")
-        store = open_store(path)
-        store.initialise(spec_of())
-        store.close()
-        import sqlite3
-
+    def test_existing_sqlite_database_rejected(self, tmp_path):
+        # A database left by the removed sqlite backend reads as a
+        # foreign header, not as JSONL corruption or a decode error.
+        path = str(tmp_path / "old.sqlite")
         conn = sqlite3.connect(path)
-        conn.execute("UPDATE meta SET value = '{broken' WHERE key='header'")
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute("CREATE TABLE cells (seq INTEGER PRIMARY KEY, "
+                     "cell_id TEXT, payload TEXT)")
+        conn.execute("INSERT INTO meta VALUES ('header', '{}')")
         conn.commit()
         conn.close()
+        store = open_store(path)
+        with pytest.raises(StoreIntegrityError,
+                           match="does not start with a campaign header"):
+            store.header()
         with pytest.raises(StoreIntegrityError):
-            open_store(path).header()
+            run_campaign(spec_of(), path, workers=1, resume=True)
 
-    def test_resume_after_torn_append(self, store_path, backend):
-        # A kill mid-append leaves a torn tail (jsonl/shards) or an
-        # uncommitted row (sqlite); resume must re-run only that cell.
+    def test_resume_after_torn_append(self, store_path):
+        # A kill mid-append leaves a torn tail; resume must re-run only
+        # that cell.
         spec = spec_of(cells=4, name="torn")
         cells = spec.expand()
         store = open_store(store_path)
@@ -408,11 +334,8 @@ class TestCrashDebris:
         for cell in cells[:2]:
             store.append_cell(record_for(cell, spec))
         store.close()
-        if backend in ("jsonl", "shards"):
-            target = self.jsonl_file_of(store_path, backend,
-                                        cells[2].cell_id)
-            with open(target, "a", encoding="utf-8") as handle:
-                handle.write('{"type": "cell", "cell_id"')
+        with open(store_path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "cell", "cell_id"')
         summary = run_campaign(spec, store_path, workers=1, resume=True)
         assert summary.skipped == 2 and summary.executed == 2
         final = open_store(store_path)
