@@ -1,21 +1,12 @@
-"""Codec batching engine: batched vs per-frame throughput guards.
+"""Codec throughput guard: stats-only decoding skips the pixel work.
 
-PR 5's batching engine runs the audio codec's DCT + quantiser fit over
-a whole ``(frames, samples)`` matrix and gathers video work into
-stacked block transforms (see :mod:`repro.media.batching`).  This
-guard runs both paths on the same signal and asserts what is stable on
-any hardware:
+A receiver that watches a flow nobody renders runs the decoder with
+``pixels=False``: the freeze/resync state machine alone, no inverse
+transforms.  This guard asserts what is stable on any hardware -- that
+it is cheaper than decoding pixels.
 
-* the batched audio encoder is bit-identical to the per-frame loop
-  AND measurably faster (the vectorised 24-probe bisection replaces
-  ``frames x probes`` tiny numpy calls) -- measured ~6-8x, gated
-  generously at 2x,
-* the video burst entry points stay bit-identical and within noise of
-  the loop (plane-sized transforms already amortise pocketfft; the
-  guard catches the batch path going pathologically slower).
-
-Run with ``pytest benchmarks/test_perf_codec_batch.py``; tracked
-absolute numbers live in ``BENCH_pr5.json`` (``repro bench``).
+Run this file with ``pytest``; tracked absolute codec numbers live in
+``BENCH_*.json`` (``repro bench``).
 """
 
 from __future__ import annotations
@@ -24,22 +15,9 @@ import time
 
 import numpy as np
 
-from repro.media.audio import SpeechLikeSource
-from repro.media.audio_codec import AudioCodec, AudioCodecConfig
 from repro.media.feeds import LowMotionFeed
 from repro.media.frames import FrameSpec
 from repro.media.video_codec import VideoCodec, VideoCodecConfig, VideoDecoder
-
-#: Audio workload: 5 s of speech = 250 codec frames per run.
-AUDIO_SECONDS = 5.0
-
-#: The batched audio encode must beat the loop by at least this factor
-#: (measured ~6-8x; 2x keeps the guard meaningful without flaking).
-MIN_AUDIO_SPEEDUP = 2.0
-
-#: The video burst paths must not fall below this fraction of the
-#: per-frame loop's throughput (they hover around parity by design).
-MIN_VIDEO_RATIO = 0.5
 
 VIDEO_SPEC = FrameSpec(128, 96, 12)
 VIDEO_FRAMES = 48
@@ -47,74 +25,6 @@ VIDEO_FRAMES = 48
 
 def _best_of(runs, fn):
     return min(fn() for _ in range(runs))
-
-
-def test_audio_batched_encode_is_faster_and_identical():
-    config = AudioCodecConfig(bitrate_bps=45_000)
-    speech = SpeechLikeSource(seed=3).read_duration(0.0, AUDIO_SECONDS)
-
-    batched_frames = AudioCodec(config, batch=True).encode(speech)
-    loop_frames = AudioCodec(config, batch=False).encode(speech)
-    assert len(batched_frames) == len(loop_frames)
-    for a, b in zip(batched_frames, loop_frames):
-        assert a.q_step == b.q_step
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
-        assert a.size_bytes == b.size_bytes
-
-    def timed(batch: bool) -> float:
-        start = time.perf_counter()
-        AudioCodec(config, batch=batch).encode(speech)
-        return time.perf_counter() - start
-
-    batched = _best_of(3, lambda: timed(True))
-    loop = _best_of(3, lambda: timed(False))
-    speedup = loop / batched
-    assert speedup >= MIN_AUDIO_SPEEDUP, (
-        f"batched audio encode only {speedup:.2f}x the per-frame loop "
-        f"(batched {batched:.3f}s vs loop {loop:.3f}s)"
-    )
-
-
-def test_video_burst_paths_stay_within_noise_of_loop():
-    stack = np.stack(LowMotionFeed(VIDEO_SPEC, seed=3).frames(VIDEO_FRAMES))
-    config = VideoCodecConfig(gop_size=12)
-
-    def encode(batch: bool):
-        codec = VideoCodec(
-            VIDEO_SPEC, config, target_bps=400_000, batch=batch
-        )
-        start = time.perf_counter()
-        encoded = codec.encode_batch(stack)
-        return time.perf_counter() - start, encoded
-
-    batched_wall, encoded = min(
-        (encode(True) for _ in range(3)), key=lambda r: r[0]
-    )
-    loop_wall, loop_encoded = min(
-        (encode(False) for _ in range(3)), key=lambda r: r[0]
-    )
-    for a, b in zip(encoded, loop_encoded):
-        assert a.q_step == b.q_step
-        assert np.array_equal(a.values, b.values)
-        assert a.size_bytes == b.size_bytes
-    assert loop_wall / batched_wall >= MIN_VIDEO_RATIO, (
-        f"batched video encode pathologically slow: "
-        f"{batched_wall:.3f}s vs loop {loop_wall:.3f}s"
-    )
-
-    def decode(batch: bool) -> float:
-        decoder = VideoDecoder(VIDEO_SPEC, batch=batch)
-        start = time.perf_counter()
-        decoder.decode_batch(encoded)
-        return time.perf_counter() - start
-
-    batched_decode = _best_of(3, lambda: decode(True))
-    loop_decode = _best_of(3, lambda: decode(False))
-    assert loop_decode / batched_decode >= MIN_VIDEO_RATIO, (
-        f"batched video decode pathologically slow: "
-        f"{batched_decode:.3f}s vs loop {loop_decode:.3f}s"
-    )
 
 
 def test_stats_only_decoder_is_cheaper_than_pixels():

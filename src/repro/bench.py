@@ -3,8 +3,8 @@
 Every PR that touches a hot path should leave a comparable number
 behind.  This module runs a pinned set of micro and macro benchmarks --
 the raw packet path, a dynamics session, the batched QoE kernels, the
-codec batching engine (audio/video batched vs per-frame) and a full
-bandwidth-study session -- and writes them to a ``BENCH_*.json`` file
+audio encoder, the campaign fabric and a full bandwidth-study session
+-- and writes them to a ``BENCH_*.json`` file
 (``BENCH_pr4.json``, then ``BENCH_pr5.json``) so regressions show up
 as diffs rather than folklore.
 
@@ -13,11 +13,10 @@ Two kinds of numbers are reported:
 * **absolute throughput** (packets/sec, events/sec, frames/sec,
   session wall-clock) -- comparable across commits *on one machine*,
 * **speedup ratios measured within one process** (fused packet path
-  vs the forced slow path; batched codec vs the per-frame loop, same
-  seed) -- comparable across machines, which is what the CI
-  regression gate checks: hardware noise cancels out of a ratio,
-  while "the fast lane silently stopped engaging" or "codec batching
-  quietly fell back to per-frame" does not.
+  vs the forced slow path; raw cell loop vs scheduled and stored
+  cells, same seed) -- comparable across machines, which is what the
+  CI regression gate checks: hardware noise cancels out of a ratio,
+  while "the fast lane silently stopped engaging" does not.
 
 Run via ``python -m repro bench`` (or ``benchmarks/run_bench.py``);
 ``--quick`` shrinks every workload for CI, ``--check`` compares the
@@ -57,7 +56,6 @@ class BenchProfile:
     qoe_frames: int = 96
     qoe_shape: "tuple[int, int]" = (144, 192)
     audio_seconds: float = 5.0
-    video_frames: int = 48
     fabric_cells: int = 96
     fabric_spin_ms: float = 2.0
 
@@ -69,7 +67,6 @@ class BenchProfile:
             qoe_frames=32,
             qoe_shape=(96, 128),
             audio_seconds=2.0,
-            video_frames=24,
             fabric_cells=32,
         )
 
@@ -284,17 +281,14 @@ def bench_model_session(profile: BenchProfile) -> Dict[str, float]:
 
 
 # --------------------------------------------------------------------- #
-# Codec micro benchmarks (PR 5's batching engine).
+# Codec micro benchmark.
 # --------------------------------------------------------------------- #
 
 def bench_audio_codec(profile: BenchProfile) -> Dict[str, float]:
-    """Batched vs per-frame audio encode on one speech clip.
+    """Audio encode throughput on one speech clip.
 
-    The batched path runs one DCT over the whole ``(frames, samples)``
-    matrix and one vectorised quantiser bisection; the per-frame path
-    is the ``encode_frame`` loop.  Both produce bit-identical frames
-    (``tests/test_codec_batch_equivalence.py``), so the speedup ratio
-    is hardware-independent and gated by ``--check``.
+    One DCT runs over the whole ``(frames, samples)`` matrix and one
+    vectorised quantiser bisection fits every frame.
     """
     from .media.audio import SpeechLikeSource
     from .media.audio_codec import AudioCodec, AudioCodecConfig
@@ -303,64 +297,16 @@ def bench_audio_codec(profile: BenchProfile) -> Dict[str, float]:
     speech = SpeechLikeSource(seed=3).read_duration(0.0, profile.audio_seconds)
     frames = len(speech) // config.frame_samples
 
-    def run(batch: bool) -> float:
+    def run() -> float:
         start = time.perf_counter()
-        AudioCodec(config, batch=batch).encode(speech)
+        AudioCodec(config).encode(speech)
         return time.perf_counter() - start
 
-    batched = min(run(True) for _ in range(3))
-    per_frame = min(run(False) for _ in range(3))
+    wall = min(run() for _ in range(3))
     return {
         "frames": frames,
-        "batched_wall_s": round(batched, 4),
-        "per_frame_wall_s": round(per_frame, 4),
-        "frames_per_s": round(frames / batched, 1),
-        "batched_speedup": round(per_frame / batched, 3),
-    }
-
-
-def bench_video_codec(profile: BenchProfile) -> Dict[str, float]:
-    """Batched vs per-frame multi-frame video encode/decode bursts.
-
-    Video transforms are big enough that pocketfft already amortises
-    per-call overhead, so the burst speedup is modest (the stacked
-    keyframe DCT and the skipped all-zero reconstructions carry it);
-    the ratio is tracked to catch the batch path going pathologically
-    slower than the loop it must stay bit-identical to.
-    """
-    from .media.feeds import LowMotionFeed
-    from .media.video_codec import VideoCodec, VideoCodecConfig, VideoDecoder
-
-    spec = FrameSpec(128, 96, 12)
-    stack = np.stack(LowMotionFeed(spec, seed=3).frames(profile.video_frames))
-    config = VideoCodecConfig(gop_size=12)
-
-    def encode(batch: bool):
-        codec = VideoCodec(spec, config, target_bps=400_000, batch=batch)
-        start = time.perf_counter()
-        encoded = codec.encode_batch(stack)
-        return time.perf_counter() - start, encoded
-
-    encode_batched, encoded = min(
-        (encode(True) for _ in range(3)), key=lambda r: r[0]
-    )
-    encode_loop, _ = min((encode(False) for _ in range(3)), key=lambda r: r[0])
-
-    def decode(batch: bool) -> float:
-        decoder = VideoDecoder(spec, batch=batch)
-        start = time.perf_counter()
-        decoder.decode_batch(encoded)
-        return time.perf_counter() - start
-
-    decode_batched = min(decode(True) for _ in range(3))
-    decode_loop = min(decode(False) for _ in range(3))
-    return {
-        "frames": profile.video_frames,
-        "encode_wall_s": round(encode_batched, 4),
-        "encode_frames_per_s": round(profile.video_frames / encode_batched, 1),
-        "encode_batched_speedup": round(encode_loop / encode_batched, 3),
-        "decode_wall_s": round(decode_batched, 4),
-        "decode_batched_speedup": round(decode_loop / decode_batched, 3),
+        "wall_s": round(wall, 4),
+        "frames_per_s": round(frames / wall, 1),
     }
 
 
@@ -467,7 +413,6 @@ BENCHMARKS: Dict[str, Callable[[BenchProfile], Dict[str, float]]] = {
     "bandwidth_session": bench_bandwidth_session,
     "qoe_batch": bench_qoe_batch,
     "audio_codec": bench_audio_codec,
-    "video_codec": bench_video_codec,
     "campaign_fabric": bench_campaign_fabric,
 }
 
@@ -498,11 +443,11 @@ def check_against_baseline(
 
     Only hardware-independent metrics are gated: the packet-path
     fast-vs-slow speedup ratio, the events-per-packet budget, and the
-    codec batched-vs-per-frame speedup ratios (same process, same
-    seed, so hardware noise cancels).  Codec gates only engage when
-    the baseline records them (``BENCH_pr5.json`` onward); a gated
-    metric that a benchmark of the fresh run does not report fails.
-    Returns a list of failure messages (empty = pass).
+    fabric's ``inline_efficiency`` (same process, same seed, so
+    hardware noise cancels).  The fabric gate only engages when the
+    baseline records it (``BENCH_pr6.json`` onward); a gated metric
+    that the fresh run's benchmark does not report fails.  Returns a
+    list of failure messages (empty = pass).
     """
     failures = []
     fresh_pp = fresh.get("benchmarks", {}).get("packet_path")
@@ -524,47 +469,30 @@ def check_against_baseline(
             f"{fresh_pp['events_per_packet']:.2f} events/packet vs "
             f"baseline {base_pp['events_per_packet']:.2f}"
         )
-    # The audio ratio is large and stable (vectorised bisection vs a
-    # python loop).  The video burst ratios hover around 1.0 by design
-    # (plane-sized transforms amortise pocketfft already), so they get
-    # doubled tolerance and their baseline is capped at parity -- a
-    # lucky fast baseline run must not arm a flaky gate; the check is
-    # for "the batch path got pathologically slower than the loop".
-    # The fabric gate follows the same shape: inline_efficiency is a
-    # within-process ratio (raw cell loop vs scheduled+stored cells)
-    # capped at parity, engaging from BENCH_pr6.json onward.
-    codec_gates = (
-        ("audio_codec", "batched_speedup",
-         "audio batched-encode speedup", tolerance, None),
-        ("video_codec", "encode_batched_speedup",
-         "video burst-encode ratio", 2.0 * tolerance, 1.0),
-        ("video_codec", "decode_batched_speedup",
-         "video burst-decode ratio", 2.0 * tolerance, 1.0),
-        ("campaign_fabric", "inline_efficiency",
-         "fabric scheduling efficiency", 2.0 * tolerance, 1.0),
-    )
-    for bench_name, key, label, gate_tolerance, baseline_cap in codec_gates:
-        fresh_bench = fresh.get("benchmarks", {}).get(bench_name)
-        base_bench = baseline.get("benchmarks", {}).get(bench_name)
-        if fresh_bench is None or base_bench is None or key not in base_bench:
-            continue
-        if key not in fresh_bench:
-            # The baseline gates a metric this run no longer reports:
-            # a stale baseline or a removed benchmark, never a pass.
-            failures.append(
-                f"{label}: fresh {bench_name} run has no {key!r} metric "
-                "(the baseline gates it)"
-            )
-            continue
-        base_value = base_bench[key]
-        if baseline_cap is not None:
-            base_value = min(base_value, baseline_cap)
-        floor = base_value * (1.0 - gate_tolerance)
-        if fresh_bench[key] < floor:
-            failures.append(
-                f"{label} regressed: {fresh_bench[key]:.2f}x vs baseline "
-                f"{base_bench[key]:.2f}x (floor {floor:.2f}x)"
-            )
+    # inline_efficiency (raw cell loop vs scheduled+stored cells)
+    # hovers near parity, so it gets doubled tolerance and its
+    # baseline is capped at 1.0 -- a lucky fast baseline run must not
+    # arm a flaky gate.
+    key = "inline_efficiency"
+    label = "fabric scheduling efficiency"
+    fresh_fabric = fresh.get("benchmarks", {}).get("campaign_fabric")
+    base_fabric = baseline.get("benchmarks", {}).get("campaign_fabric")
+    if fresh_fabric is None or base_fabric is None or key not in base_fabric:
+        return failures
+    if key not in fresh_fabric:
+        # The baseline gates a metric this run no longer reports: a
+        # stale baseline or a removed benchmark, never a pass.
+        failures.append(
+            f"{label}: fresh campaign_fabric run has no {key!r} metric "
+            "(the baseline gates it)"
+        )
+        return failures
+    floor = min(base_fabric[key], 1.0) * (1.0 - 2.0 * tolerance)
+    if fresh_fabric[key] < floor:
+        failures.append(
+            f"{label} regressed: {fresh_fabric[key]:.2f}x vs baseline "
+            f"{base_fabric[key]:.2f}x (floor {floor:.2f}x)"
+        )
     return failures
 
 
@@ -576,8 +504,7 @@ def render_report(payload: dict) -> str:
     for name, result in payload.get("benchmarks", {}).items():
         parts = []
         for key in ("packets_per_s", "events_per_s", "speedup_vs_slow",
-                    "events_per_packet", "frames_per_s", "batched_speedup",
-                    "encode_batched_speedup", "decode_batched_speedup",
+                    "events_per_packet", "frames_per_s",
                     "inline_cells_per_s", "inline_efficiency",
                     "workers_speedup", "wall_s"):
             if key in result:

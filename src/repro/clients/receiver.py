@@ -11,7 +11,7 @@ video flow back to its sender through the platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from ..errors import SessionError
 from ..media.audio_codec import AudioCodec, AudioCodecConfig, AudioDecoder
@@ -95,21 +95,18 @@ class ReceiverEngine:
         self,
         flow_id: str,
         spec: FrameSpec,
-        codec_batch: Optional[bool] = None,
         pixels: bool = True,
     ) -> VideoDecoder:
         """Decode a video flow.
 
         A pixel decoder defers: delivered frames are parked and replayed
-        through the batched decoder when outputs are first read (the
-        recorder reads them at finalize), bit-identical to decoding each
-        frame as it lands.  ``pixels=False`` attaches a stats-only
-        decoder (freeze/decoded counts, no reconstructions) for flows
-        nobody renders.
+        through the decoder when outputs are first read (the recorder
+        reads them at finalize), bit-identical to decoding each frame as
+        it lands.  ``pixels=False`` attaches a stats-only decoder
+        (freeze/decoded counts, no reconstructions) for flows nobody
+        renders.
         """
-        decoder = VideoDecoder(
-            spec, batch=codec_batch, pixels=pixels, defer=True
-        )
+        decoder = VideoDecoder(spec, pixels=pixels, defer=True)
         self._video_decoders[flow_id] = decoder
         return decoder
 
@@ -117,17 +114,14 @@ class ReceiverEngine:
         self,
         flow_id: str,
         config: AudioCodecConfig,
-        codec_batch: Optional[bool] = None,
     ) -> AudioDecoder:
         """Decode an audio flow for later waveform assembly.
 
-        With batching on, received frames are parked and inverse
-        transformed in one batched IDCT when the waveform is first
-        assembled (post-session MOS scoring) -- bit-identical to eager
-        decoding, minus a per-frame transform on the packet path.
+        Received frames are parked and inverse transformed in one
+        batched IDCT when the waveform is first assembled (post-session
+        MOS scoring), so the packet path runs no transform.
         """
-        decoder = AudioDecoder(AudioCodec(config, batch=codec_batch),
-                               batch=codec_batch)
+        decoder = AudioDecoder(AudioCodec(config))
         self._audio_decoders[flow_id] = decoder
         return decoder
 

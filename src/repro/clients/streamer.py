@@ -134,7 +134,6 @@ class VideoStreamer(_SenderBase):
         spec: FrameSpec,
         codec_config: Optional[VideoCodecConfig] = None,
         normalize_wire_rate: bool = True,
-        codec_batch: Optional[bool] = None,
     ) -> None:
         super().__init__(client, wiring)
         if client.camera is None:
@@ -167,7 +166,6 @@ class VideoStreamer(_SenderBase):
                 target_bps=rates[layer]
                 * pixel_scale
                 * platform.encoder_efficiency,
-                batch=codec_batch,
             )
         self._start_time = 0.0
         self._ticker = None
@@ -397,12 +395,11 @@ class AudioStreamer(_SenderBase):
         client: "BaseClient",
         wiring: SessionWiring,
         config: AudioCodecConfig,
-        codec_batch: Optional[bool] = None,
     ) -> None:
         super().__init__(client, wiring)
         if client.microphone is None:
             raise SessionError(f"{client.name} has no microphone attached")
-        self.codec = AudioCodec(config, batch=codec_batch)
+        self.codec = AudioCodec(config)
         self._start_time = 0.0
         self._ticker = None
         self.frames_sent = 0

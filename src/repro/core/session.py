@@ -72,11 +72,6 @@ class SessionConfig:
             platform randomness).
         feed_seed: Seed for the synthetic feeds.
         gop_size: Codec keyframe spacing.
-        codec_batch: Force the codec batching engine on (True) or off
-            (False) for this session's codecs and decoders; ``None``
-            follows :data:`repro.media.batching.BATCH_DEFAULT`.
-            Batching is bit-identical either way -- this knob exists
-            for the equivalence tests and for debugging.
         flash_period_s: Flash cadence for lag feeds.
         timelines: Optional per-client condition timelines (client name
             -> :class:`~repro.net.dynamics.ConditionTimeline`).  Each is
@@ -102,7 +97,6 @@ class SessionConfig:
     session_index: int = 0
     feed_seed: int = 0
     gop_size: int = 30
-    codec_batch: Optional[bool] = None
     flash_period_s: float = 2.0
     normalize_wire_rates: Optional[bool] = None
     timelines: Optional[Dict[str, ConditionTimeline]] = None
@@ -569,7 +563,6 @@ class MeetingSession:
                     bitrate_bps=self.platform.audio_bps,
                     concealment=self.platform.audio_concealment,
                 ),
-                codec_batch=config.codec_batch,
             )
             audio.start(config.duration_s, start_delay_s=config.settle_s)
             artifacts.streamers[self.host_name + ":audio"] = audio
@@ -604,7 +597,6 @@ class MeetingSession:
                 camera_spec,
                 codec_config=VideoCodecConfig(gop_size=config.gop_size),
                 normalize_wire_rate=config.wire_normalized,
-                codec_batch=config.codec_batch,
             )
         else:
             streamer = ModelVideoStreamer(
@@ -650,11 +642,7 @@ class MeetingSession:
                     camera_spec,
                     pad_fraction=config.pad_fraction,
                 )
-                decoder = client.receiver.watch_video(
-                    high_flow,
-                    camera_spec,
-                    codec_batch=config.codec_batch,
-                )
+                decoder = client.receiver.watch_video(high_flow, camera_spec)
                 recorder.start(
                     decoder,
                     config.duration_s,
@@ -665,10 +653,7 @@ class MeetingSession:
                 # Decode without recording so freeze statistics exist;
                 # nobody renders this flow, so skip reconstruction.
                 client.receiver.watch_video(
-                    high_flow,
-                    camera_spec,
-                    codec_batch=config.codec_batch,
-                    pixels=False,
+                    high_flow, camera_spec, pixels=False
                 )
             if config.record_audio and audio_flow is not None:
                 client.receiver.listen_audio(
@@ -677,7 +662,6 @@ class MeetingSession:
                         bitrate_bps=self.platform.audio_bps,
                         concealment=self.platform.audio_concealment,
                     ),
-                    codec_batch=config.codec_batch,
                 )
 
     # ------------------------------------------------------------- #

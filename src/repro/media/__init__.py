@@ -20,7 +20,6 @@ synthetic media:
 
 from .audio import AudioSource, SpeechLikeSource, SilenceSource, ToneSource
 from .audio_codec import AudioCodec, AudioCodecConfig, EncodedAudioFrame
-from .batching import BATCH_DEFAULT, batching_enabled
 from .feeds import FlashFeed, HighMotionFeed, LowMotionFeed, StaticFeed
 from .frames import FrameSource, FrameSpec
 from .loopback import VirtualCamera, VirtualMicrophone
@@ -37,8 +36,6 @@ __all__ = [
     "AudioCodec",
     "AudioCodecConfig",
     "AudioSource",
-    "BATCH_DEFAULT",
-    "batching_enabled",
     "EncodedAudioFrame",
     "EncodedFrame",
     "FlashFeed",

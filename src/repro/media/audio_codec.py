@@ -12,7 +12,6 @@ under moderate loss, zero-fill concealment does not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -20,7 +19,6 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from ..errors import CodecError, ConfigurationError
-from .batching import batching_enabled
 
 #: Audio frame duration used by the codec (Opus default frame).
 FRAME_DURATION_S = 0.02
@@ -74,71 +72,30 @@ class EncodedAudioFrame:
 
 
 class AudioCodec:
-    """Encoder/decoder pair for 20 ms audio frames.
+    """Encoder for 20 ms audio frames.
 
-    The encoder DCT-transforms each frame, quantises with a step chosen
-    per frame (binary search) to meet the bit budget, and reports the
-    realised size.  The decoder inverts, and conceals missing frames
-    according to the configured strategy.
-
-    With ``batch`` on (the process default, see
-    :mod:`repro.media.batching`), :meth:`encode` transforms every frame
-    of the buffer in one ``(frames, samples)`` DCT call and fits all
-    quantisers in one vectorised bisection -- bit-identical to the
-    per-frame path, which stays available as :meth:`encode_frame` and
-    as the ``batch=False`` fallback.
+    The encoder DCT-transforms a buffer of frames in one ``(frames,
+    samples)`` call, quantises each frame with a step chosen per frame
+    (one vectorised binary search over all of them) to meet the bit
+    budget, and reports the realised sizes.  :class:`AudioDecoder`
+    inverts, and conceals missing frames according to the configured
+    strategy.
     """
 
-    def __init__(
-        self,
-        config: Optional[AudioCodecConfig] = None,
-        batch: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, config: Optional[AudioCodecConfig] = None) -> None:
         self.config = config if config is not None else AudioCodecConfig()
-        self.batch = batching_enabled(batch)
         self._next_index = 0
-
-    # ----------------------------------------------------------------- #
-    # Encoding.
-    # ----------------------------------------------------------------- #
-
-    def encode_frame(self, samples: np.ndarray) -> EncodedAudioFrame:
-        """Encode one frame of exactly ``config.frame_samples`` samples."""
-        expected = self.config.frame_samples
-        if samples.shape != (expected,):
-            raise CodecError(
-                f"audio frame must have shape ({expected},), got {samples.shape}"
-            )
-        coeffs = sp_fft.dct(np.asarray(samples, dtype=np.float64), norm="ortho")
-        budget = self.config.frame_budget_bits
-
-        q_step = self._fit_quantiser(coeffs, budget)
-        levels = np.round(coeffs / q_step).astype(np.int32)
-        nonzero = np.nonzero(levels)[0]
-        values = levels[nonzero].astype(np.int16)
-        size_bytes = int(np.ceil(self._bits_for(values) / 8.0))
-
-        frame = EncodedAudioFrame(
-            index=self._next_index,
-            q_step=q_step,
-            indices=nonzero.astype(np.int32),
-            values=values,
-            frame_samples=expected,
-            size_bytes=size_bytes,
-        )
-        self._next_index += 1
-        return frame
 
     def encode(self, samples: np.ndarray) -> list[EncodedAudioFrame]:
         """Encode a multiple-of-frame-size buffer into frames.
 
-        The batched path reshapes the buffer into a ``(frames,
-        frame_samples)`` view -- one dtype conversion, no per-frame
-        slice copies -- runs a single DCT over the matrix and fits all
-        quantisers at once.  Sparse extraction and the realised-size
-        model stay per frame (they are ragged), using exactly the
-        per-frame arithmetic, so the emitted frames are bit-identical
-        to an :meth:`encode_frame` loop.
+        The buffer is reshaped into a ``(frames, frame_samples)`` view
+        -- one dtype conversion, no per-frame slice copies -- and one
+        DCT over the matrix feeds one quantiser fit for every frame.
+        Sparse extraction and the realised-size model stay per frame
+        (they are ragged).  Each DCT row and each frame's bisection
+        read only that frame, so how a stream is split into buffers
+        never changes its frames.
         """
         frame_samples = self.config.frame_samples
         if len(samples) % frame_samples != 0:
@@ -146,11 +103,6 @@ class AudioCodec:
                 f"buffer length {len(samples)} is not a multiple of "
                 f"the frame size {frame_samples}"
             )
-        if not self.batch:
-            return [
-                self.encode_frame(samples[i : i + frame_samples])
-                for i in range(0, len(samples), frame_samples)
-            ]
         frames = len(samples) // frame_samples
         if frames == 0:
             return []
@@ -189,59 +141,21 @@ class AudioCodec:
         magnitudes = np.abs(values.astype(np.float64))
         return float(np.sum(2.5 + 1.7 * np.log2(1.0 + magnitudes))) + 64.0
 
-    @staticmethod
-    def _probe_bits(levels: np.ndarray) -> np.ndarray:
-        """Bit-model cost of non-negative quantised magnitudes.
-
-        ``sum(2.5 + 1.7*log2(1+l) for nonzero l) + 64`` evaluated as
-        ``1.7*sum(log2(1+l)) + 2.5*nnz + 64``: zero levels contribute
-        an exact ``log2(1) == 0.0`` to the full-row sum, so no masking
-        pass is needed, and the reduction along the last axis yields
-        the same per-frame values as each row on its own (numpy's
-        pairwise reduction runs per output element) -- the property the
-        batched bisection's bit-identity rests on.
-        """
-        per_level = np.log2(1.0 + levels)
-        return (
-            1.7 * np.sum(per_level, axis=-1)
-            + 2.5 * np.count_nonzero(levels, axis=-1)
-            + 64.0
-        )
-
-    def _fit_quantiser(self, coeffs: np.ndarray, budget_bits: float) -> float:
-        """Smallest power-ladder step whose levels fit the budget.
-
-        The 24-probe bisection runs on ``|coeffs|`` directly: banker's
-        rounding is sign-symmetric (``round(-x) == -round(x)``), so the
-        level magnitudes -- the only thing the bit model reads -- are
-        identical to rounding the signed coefficients.  This method
-        runs once per 20 ms audio frame for every speaking participant,
-        which made it one of the hottest non-packet paths in a full
-        session; :meth:`_fit_quantiser_batch` is its vectorised twin
-        and every probe here mirrors one lane of the batched loop
-        (``math.sqrt``/``np.sqrt`` are both correctly rounded, and
-        :meth:`_probe_bits` sums rows identically), keeping the two
-        bit-identical.
-        """
-        lo, hi = 1e-4, 10.0
-        magnitudes = np.abs(coeffs)
-        for _ in range(24):
-            mid = math.sqrt(lo * hi)
-            levels = np.round(magnitudes / mid)
-            if float(self._probe_bits(levels)) > budget_bits:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
     def _fit_quantiser_batch(
         self, coeff_stack: np.ndarray, budget_bits: float
     ) -> np.ndarray:
         """Per-frame quantiser fit over a ``(frames, samples)`` stack.
 
-        Every frame runs the same 24 probes as :meth:`_fit_quantiser`
-        with its own ``(lo, hi)`` bracket; one probe is one vectorised
-        pass over the whole stack instead of ``frames`` numpy calls.
+        The smallest power-ladder step whose levels fit the budget:
+        every frame runs 24 bisection probes with its own ``(lo, hi)``
+        bracket, and one probe is one vectorised pass over the whole
+        stack.  The probes read ``|coeffs|``: banker's rounding is
+        sign-symmetric, so the level magnitudes -- all the bit model
+        reads -- match rounding the signed coefficients.  A probe's bit
+        cost is ``1.7*sum(log2(1+l)) + 2.5*nnz + 64``, which equals
+        :meth:`_bits_for` on the nonzero levels because zero levels add
+        an exact ``log2(1) == 0.0``.  Every reduction runs along the
+        last axis, so each frame's step is the one it would get alone.
         """
         frames = coeff_stack.shape[0]
         lo = np.full(frames, 1e-4)
@@ -250,7 +164,6 @@ class AudioCodec:
         # Scratch buffers shared across probes: each pass writes the
         # rounded levels and their per-level log costs in place, so the
         # 24 probes allocate nothing but their (frames,) reductions.
-        # The element arithmetic mirrors :meth:`_probe_bits` exactly.
         levels = np.empty_like(magnitudes)
         costs = np.empty_like(magnitudes)
         for _ in range(24):
@@ -266,16 +179,6 @@ class AudioCodec:
             hi = np.where(over, hi, mid)
         return hi
 
-    # ----------------------------------------------------------------- #
-    # Decoding.
-    # ----------------------------------------------------------------- #
-
-    def decode_frame(self, frame: EncodedAudioFrame) -> np.ndarray:
-        """Inverse-transform one encoded frame."""
-        coeffs = np.zeros(frame.frame_samples, dtype=np.float64)
-        coeffs[frame.indices] = frame.values.astype(np.float64) * frame.q_step
-        return sp_fft.idct(coeffs, norm="ortho")
-
 
 class AudioDecoder:
     """Stateful frame-sequence decoder with loss concealment.
@@ -283,17 +186,14 @@ class AudioDecoder:
     Feed frames with :meth:`push`; missing indices are concealed.  The
     final waveform is assembled with :meth:`waveform`.
 
-    With ``batch`` on, pushed frames are only parked; the inverse
-    transforms run lazily in one batched IDCT over every pending frame
-    when the waveform is assembled.  The decoded samples are
-    bit-identical to eager per-frame decoding (``batch=False``) -- the
-    scatter into the coefficient matrix is the same arithmetic and the
-    batched IDCT transforms each row exactly as a lone frame.
+    Pushed frames are only parked; the inverse transforms run lazily in
+    one batched IDCT over every pending frame when the waveform is
+    assembled.  The batched IDCT transforms each row exactly as a lone
+    frame, so the samples do not depend on when frames were drained.
     """
 
-    def __init__(self, codec: AudioCodec, batch: Optional[bool] = None) -> None:
+    def __init__(self, codec: AudioCodec) -> None:
         self._codec = codec
-        self._batch = batching_enabled(batch)
         self._frames: dict[int, np.ndarray] = {}
         self._encoded: dict[int, EncodedAudioFrame] = {}
         self._max_index = -1
@@ -301,14 +201,22 @@ class AudioDecoder:
         self.frames_concealed = 0
 
     def push(self, frame: EncodedAudioFrame) -> None:
-        """Accept one encoded frame (in any order)."""
-        if self._batch and frame.frame_samples == self._codec.config.frame_samples:
-            # Park for the batched lazy decode; a duplicate push wins
-            # over an already-decoded copy, as it does eagerly.
-            self._encoded[frame.index] = frame
-            self._frames.pop(frame.index, None)
-        else:
-            self._frames[frame.index] = self._codec.decode_frame(frame)
+        """Accept one encoded frame (in any order).
+
+        Raises:
+            CodecError: The frame was encoded with a different frame
+                size than this decoder's codec.
+        """
+        expected = self._codec.config.frame_samples
+        if frame.frame_samples != expected:
+            raise CodecError(
+                f"audio frame {frame.index} has {frame.frame_samples} "
+                f"samples, decoder expects {expected}"
+            )
+        # Park for the batched lazy decode; a duplicate push wins over
+        # an already-decoded copy.
+        self._encoded[frame.index] = frame
+        self._frames.pop(frame.index, None)
         self._max_index = max(self._max_index, frame.index)
         self.frames_received += 1
 

@@ -22,14 +22,13 @@ after quantisation) and are fragmented for transport by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy import fft as sp_fft
 
 from ..errors import CodecError, ConfigurationError
-from .batching import batching_enabled
 from .frames import FrameSpec
 
 #: Side of the transform block.
@@ -56,18 +55,6 @@ _JPEG_LUMA = np.array(
     dtype=np.float64,
 )
 QUANT_WEIGHTS = _JPEG_LUMA / _JPEG_LUMA[0, 0]
-
-#: Target bytes of one float64 frame block in batched transforms --
-#: stacked DCT/IDCT temporaries must stay cache-resident (full-stack
-#: passes are DRAM-bound and can lose to the per-frame loop), the same
-#: blocking the resize pipeline uses.
-_BATCH_BLOCK_BYTES = 2 << 20
-
-
-def _batch_step(plane_shape: tuple[int, int]) -> int:
-    """Frames per cache-sized block for a padded plane geometry."""
-    return max(1, _BATCH_BLOCK_BYTES // (plane_shape[0] * plane_shape[1] * 8))
-
 
 @dataclass(frozen=True)
 class VideoCodecConfig:
@@ -126,57 +113,48 @@ class EncodedFrame:
 
 
 def _pad_to_blocks(frame: np.ndarray) -> np.ndarray:
-    """Edge-pad so the trailing two dimensions are multiples of BLOCK.
-
-    Accepts a single ``(H, W)`` plane or a stack with any leading batch
-    dimensions (``(F, H, W)`` from :meth:`VideoCodec.encode_batch`);
-    stacked padding replicates exactly the per-frame edge pad.
-    """
-    height, width = frame.shape[-2:]
+    """Edge-pad an ``(H, W)`` plane so both sides are multiples of BLOCK."""
+    height, width = frame.shape
     pad_h = (-height) % BLOCK
     pad_w = (-width) % BLOCK
     if pad_h == 0 and pad_w == 0:
         return frame
-    pad = [(0, 0)] * (frame.ndim - 2) + [(0, pad_h), (0, pad_w)]
-    return np.pad(frame, pad, mode="edge")
+    return np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
+
+
+def _block_grid(plane: np.ndarray) -> np.ndarray:
+    """A ``(by, bx, 8, 8)`` view of a ``(H, W)`` plane (no copy)."""
+    height, width = plane.shape
+    return plane.reshape(
+        height // BLOCK, BLOCK, width // BLOCK, BLOCK
+    ).swapaxes(1, 2)
 
 
 def _block_dct(plane: np.ndarray) -> np.ndarray:
-    """Forward 8x8 block DCT of a ``(..., H, W)`` plane (stack).
+    """Forward 8x8 block DCT of an ``(H, W)`` plane.
 
-    Returns ``(..., by, bx, 8, 8)`` coefficients.  A stacked call runs
-    one transform over every frame's blocks; pocketfft applies the same
-    1-D kernels per innermost slab, so the stacked coefficients are
-    bit-identical to transforming each frame alone (the codec batch
-    equivalence suite pins this).
+    Returns ``(by, bx, 8, 8)`` coefficients.
     """
-    height, width = plane.shape[-2:]
-    blocks = plane.reshape(
-        plane.shape[:-2] + (height // BLOCK, BLOCK, width // BLOCK, BLOCK)
-    )
-    blocks = np.swapaxes(blocks, -3, -2)
-    coeffs = sp_fft.dctn(blocks, axes=(-2, -1), norm="ortho")
-    return coeffs
+    return sp_fft.dctn(_block_grid(plane), axes=(-2, -1), norm="ortho")
+
 
 def _block_idct(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`_block_dct`; returns a ``(..., H, W)`` plane."""
+    """Inverse of :func:`_block_dct`; returns an ``(H, W)`` plane."""
     blocks = sp_fft.idctn(coeffs, axes=(-2, -1), norm="ortho")
-    height, width = shape
-    blocks = np.swapaxes(blocks, -3, -2)
-    return blocks.reshape(blocks.shape[:-4] + (height, width))
+    return blocks.swapaxes(1, 2).reshape(shape)
 
 
 def _skip_deadzone_mask(residual: np.ndarray) -> np.ndarray:
     """Blocks whose residual peak sits inside the skip deadzone.
 
-    ``(..., H, W)`` residuals -> ``(..., by, bx)`` booleans.  The max
-    runs straight over the ``(by, 8, bx, 8)`` view (no transpose, no
+    An ``(H, W)`` residual -> ``(by, bx)`` booleans.  The max runs
+    straight over the ``(by, 8, bx, 8)`` view (no transpose, no
     flattened copy); a maximum is order-free, so the mask is exact.
     """
-    height, width = residual.shape[-2:]
+    height, width = residual.shape
     peaks = np.abs(residual).reshape(
-        residual.shape[:-2] + (height // BLOCK, BLOCK, width // BLOCK, BLOCK)
-    ).max(axis=(-3, -1))
+        height // BLOCK, BLOCK, width // BLOCK, BLOCK
+    ).max(axis=(1, 3))
     return peaks < SKIP_DEADZONE_LUMA
 
 
@@ -190,11 +168,6 @@ def _estimate_bits(values: np.ndarray, num_blocks: int, occupied_blocks: int) ->
     are nearly free, so a static scene compresses to almost nothing --
     which is what lets the Figure 2 lag detector separate blank frames
     (small packets) from flash frames (bursts of big packets).
-
-    Deliberately per-frame even in batched encodes: each frame's size
-    feeds the rate controller before the next frame quantises, and the
-    compressed-magnitude sum is ragged across frames, so a cross-frame
-    sizer can never be used without changing the quantiser walk.
     """
     if values.size:
         magnitudes = np.abs(values.astype(np.float64))
@@ -217,14 +190,6 @@ def _levels_from_sparse(encoded: "EncodedFrame") -> np.ndarray:
     flat = np.zeros(int(np.prod(blocks_shape)), dtype=np.float64)
     flat[encoded.indices] = encoded.values.astype(np.float64)
     return flat.reshape(blocks_shape)
-
-
-def _block_grid(plane: np.ndarray) -> np.ndarray:
-    """A ``(by, bx, 8, 8)`` view of a ``(H, W)`` plane (no copy)."""
-    height, width = plane.shape
-    return plane.reshape(
-        height // BLOCK, BLOCK, width // BLOCK, BLOCK
-    ).swapaxes(1, 2)
 
 
 def _residual_plane_sparse(
@@ -252,10 +217,9 @@ def _apply_prediction(
 ) -> np.ndarray:
     """Add the prediction basis and clamp to the pixel range.
 
-    Works in place on ``residual`` (always a fresh buffer from
-    :func:`_block_idct`, or a batch row consumed exactly once); the
-    in-place add/clip compute the same elementwise values as the
-    out-of-place originals.
+    Works in place on ``residual``, always a fresh buffer from
+    :func:`_residual_plane_sparse`; the in-place add/clip compute the
+    same elementwise values as the out-of-place originals.
     """
     if keyframe:
         np.add(residual, 128.0, out=residual)
@@ -353,12 +317,10 @@ class VideoCodec:
         spec: FrameSpec,
         config: Optional[VideoCodecConfig] = None,
         target_bps: float = 1_000_000.0,
-        batch: Optional[bool] = None,
     ) -> None:
         self.spec = spec
         self.config = config if config is not None else VideoCodecConfig()
         self.rate_controller = RateController(self.config, target_bps, spec.fps)
-        self.batch = batching_enabled(batch)
         self._reference: Optional[np.ndarray] = None
         self._frame_index = 0
         self._force_keyframe = False
@@ -397,21 +359,10 @@ class VideoCodec:
     def encode_batch(
         self, frames: Union[np.ndarray, Sequence[np.ndarray]]
     ) -> List[EncodedFrame]:
-        """Encode a burst of consecutive frames in one batched pass.
+        """Encode a burst of consecutive frames, in order.
 
-        Multi-frame bursts (recorder finalize, QoE re-encode, a
-        streamer catching up after an outage) pad and convert the whole
-        ``(F, H, W)`` stack once and run every keyframe's forward DCT
-        in a single stacked transform -- keyframe residuals are
-        ``plane - 128`` and never touch the reference, and the keyframe
-        schedule (GOP cadence, a pending :meth:`request_keyframe`, a
-        missing reference) is known before any frame is coded.  Inter
-        frames stay sequential because closed-loop prediction makes
-        each residual depend on the previous reconstruction; they share
-        the batch's pre-padded planes.  Output is bit-identical to
-        calling :meth:`encode` per frame (same sizes, quantiser walk,
-        reconstructions), with ``batch=False`` falling back to exactly
-        that loop.
+        The same as calling :meth:`encode` per frame, after checking
+        that ``frames`` is an ``(F, H, W)`` stack of the spec's shape.
         """
         stack = np.asarray(frames)
         if stack.ndim != 3 or stack.shape[1:] != self.spec.shape:
@@ -419,65 +370,18 @@ class VideoCodec:
                 f"frame stack must be (F, {self.spec.shape[0]}, "
                 f"{self.spec.shape[1]}), got {stack.shape}"
             )
-        if stack.shape[0] == 0:
-            return []
-        if not self.batch:
-            return [self.encode(frame) for frame in stack]
-
-        if stack.dtype != np.uint8:
-            # uint8 camera frames promote to float64 exactly wherever
-            # the pipeline mixes them with floats, so the common case
-            # skips the full-stack conversion (keeping each frame's
-            # working set cache-resident); anything else converts up
-            # front to match the per-frame float64 arithmetic.
-            stack = stack.astype(np.float64)
-        planes = _pad_to_blocks(stack)
-        crop = stack.shape[1:]
-        # The keyframe schedule is deterministic up front: the first
-        # coded frame materialises a reference for the rest.
-        keyframes: List[bool] = []
-        force = self._force_keyframe
-        have_reference = self._reference is not None
-        for offset in range(planes.shape[0]):
-            index = self._frame_index + offset
-            keyframes.append(
-                index % self.config.gop_size == 0 or not have_reference or force
-            )
-            force = False
-            have_reference = True
-        self._force_keyframe = False
-        key_positions = [i for i, key in enumerate(keyframes) if key]
-        key_coeffs: dict[int, np.ndarray] = {}
-        step = _batch_step(planes.shape[-2:])
-        for chunk_start in range(0, len(key_positions), step):
-            chunk = key_positions[chunk_start : chunk_start + step]
-            stacked = _block_dct(planes[chunk] - 128.0)
-            key_coeffs.update(
-                (position, stacked[row]) for row, position in enumerate(chunk)
-            )
-        return [
-            self._encode_plane(
-                planes[i], crop, keyframes[i], coeffs=key_coeffs.get(i)
-            )
-            for i in range(planes.shape[0])
-        ]
+        return [self.encode(frame) for frame in stack]
 
     def _encode_plane(
-        self,
-        plane: np.ndarray,
-        crop: tuple[int, int],
-        keyframe: bool,
-        coeffs: Optional[np.ndarray] = None,
+        self, plane: np.ndarray, crop: tuple[int, int], keyframe: bool
     ) -> EncodedFrame:
         """Quantise, size and reconstruct one pre-padded float plane."""
         index = self._frame_index
         q_step = self.rate_controller.q_step
         divisor = q_step * QUANT_WEIGHTS
         if keyframe:
-            if coeffs is None:
-                coeffs = _block_dct(plane - 128.0)
-            # coeffs is a private buffer (fresh transform output or a
-            # batch row consumed once), so quantise it in place.
+            # Fresh transform output, so quantise it in place.
+            coeffs = _block_dct(plane - 128.0)
             np.divide(coeffs, divisor, out=coeffs)
             np.round(coeffs, out=coeffs)
             levels = coeffs.astype(np.int32)
@@ -539,11 +443,6 @@ class VideoCodec:
         self.rate_controller.update(size_bytes * 8.0, keyframe)
         return encoded
 
-    def _reconstruct_plane(
-        self, encoded: EncodedFrame, reference: Optional[np.ndarray]
-    ) -> np.ndarray:
-        return _reconstruct_from_sparse(encoded, reference)
-
 
 class VideoDecoder:
     """Stateful decoder: freezes on gaps, resyncs on keyframes.
@@ -556,7 +455,6 @@ class VideoDecoder:
     def __init__(
         self,
         spec: FrameSpec,
-        batch: Optional[bool] = None,
         pixels: bool = True,
         defer: bool = False,
     ) -> None:
@@ -570,8 +468,8 @@ class VideoDecoder:
         ``defer=True`` parks every delivered frame instead of
         reconstructing it: the freeze/resync state machine (and its
         counters) still runs eagerly and exactly, but pixel work is
-        logged as events and replayed through :meth:`decode_batch` on
-        an internal eager decoder at :meth:`materialise` time -- so the
+        logged as events and replayed through :meth:`decode` on an
+        internal eager decoder at :meth:`materialise` time -- so the
         simulator loop does zero codec work, and every per-event output
         is bit-identical to the eager path (only the wall-clock moment
         of the pure computation moves).  Only meaningful with pixels;
@@ -579,7 +477,6 @@ class VideoDecoder:
         deferring (they are ``None`` until materialised).
         """
         self.spec = spec
-        self.batch = batching_enabled(batch)
         self.pixels = pixels
         self.defer = bool(defer) and pixels
         self._reference: Optional[np.ndarray] = None
@@ -686,115 +583,9 @@ class VideoDecoder:
     ) -> List[Optional[np.ndarray]]:
         """Decode a burst of frames; returns each frame's rendered output.
 
-        Equivalent to calling :meth:`decode` per frame, in order.  The
-        freeze/resync state machine runs on metadata alone (indices,
-        keyframe flags, reference presence), so it is replayed first to
-        find which frames actually reconstruct; those frames' inverse
-        transforms -- the expensive part -- then run as one batched
-        IDCT over an ``(F, by, bx, 8, 8)`` stack, and a second pass
-        applies prediction and renders in stream order.  Bit-identical
-        to the per-frame loop (which ``batch=False`` falls back to).
+        The same as calling :meth:`decode` per frame, in order.
         """
-        frames = list(frames)
-        if self.defer:
-            # Park each frame as an event; the batch machinery runs at
-            # materialise time on the internal eager decoder instead.
-            return [self.decode(encoded) for encoded in frames]
-        if not self.batch or not self.pixels or len(frames) < 2:
-            # Stats-only decoding is pure metadata work; batching
-            # would only add stack bookkeeping.
-            return [self.decode(encoded) for encoded in frames]
-        if len({encoded.shape for encoded in frames}) > 1:
-            return [self.decode(encoded) for encoded in frames]
-
-        # Pass 1: replay the gap/freeze logic without touching pixels.
-        DECODE, FREEZE, NO_OUTPUT = 0, 1, 2
-        actions: List[int] = []
-        next_expected = self._next_expected
-        awaiting = self._awaiting_keyframe
-        have_reference = self._has_reference
-        to_decode: List[EncodedFrame] = []
-        for encoded in frames:
-            gap = encoded.index != next_expected
-            if gap and not encoded.keyframe:
-                awaiting = True
-            if awaiting and not encoded.keyframe:
-                actions.append(FREEZE)
-            elif not encoded.keyframe and not have_reference:
-                actions.append(NO_OUTPUT)
-            else:
-                actions.append(DECODE)
-                # Fully-skipped inter frames reconstruct to the
-                # reference unchanged; keep them out of the IDCT stack.
-                if encoded.keyframe or encoded.values.size:
-                    to_decode.append(encoded)
-                awaiting = False
-                have_reference = True
-            next_expected = encoded.index + 1
-
-        # The batched inverse transform of every reconstructing frame:
-        # gather the occupied blocks of the whole burst into one
-        # stacked IDCT (empty blocks invert to exact zeros), then
-        # scatter each frame's blocks back into its zero plane.
-        residuals: List[np.ndarray] = []
-        if to_decode:
-            shape = to_decode[0].shape
-            occupied_masks: List[np.ndarray] = []
-            coeff_blocks: List[np.ndarray] = []
-            for encoded in to_decode:
-                levels = _levels_from_sparse(encoded)
-                occupied = levels.any(axis=(-2, -1))
-                occupied_masks.append(occupied)
-                coeff_blocks.append(
-                    levels[occupied]
-                    * (np.float64(encoded.q_step) * QUANT_WEIGHTS)
-                )
-            gathered = np.concatenate(coeff_blocks)
-            inverted = np.empty_like(gathered)
-            step = max(1, _BATCH_BLOCK_BYTES // (BLOCK * BLOCK * 8))
-            for start in range(0, gathered.shape[0], step):
-                inverted[start : start + step] = sp_fft.idctn(
-                    gathered[start : start + step],
-                    axes=(-2, -1),
-                    norm="ortho",
-                )
-            offset = 0
-            for occupied in occupied_masks:
-                count = int(np.count_nonzero(occupied))
-                residual = np.zeros(shape, dtype=np.float64)
-                if count:
-                    _block_grid(residual)[occupied] = inverted[
-                        offset : offset + count
-                    ]
-                residuals.append(residual)
-                offset += count
-
-        # Pass 2: apply predictions sequentially and render in order.
-        outputs: List[Optional[np.ndarray]] = []
-        row = 0
-        for encoded, action in zip(frames, actions):
-            if action != DECODE:
-                self._next_expected = encoded.index + 1
-                self.frames_frozen += 1
-                outputs.append(self.last_frame if action == FREEZE else None)
-                continue
-            if encoded.keyframe or encoded.values.size:
-                self._reference = _apply_prediction(
-                    residuals[row],
-                    encoded.keyframe,
-                    self._reference if not encoded.keyframe else None,
-                )
-                self._rendered = None
-                row += 1
-            self._has_reference = True
-            self._next_expected = encoded.index + 1
-            self.frames_decoded += 1
-            outputs.append(self.last_frame)
-        # The replay's final await state is the decoder's state: a burst
-        # that ends frozen must leave later decodes waiting for a
-        # keyframe, exactly as the per-frame loop would.
-        self._awaiting_keyframe = awaiting
-        return outputs
+        return [self.decode(encoded) for encoded in frames]
 
     def mark_lost(self, frame_index: int) -> Optional[np.ndarray]:
         """Record that ``frame_index`` was lost in transport.
@@ -823,33 +614,23 @@ class VideoDecoder:
     def materialise(self) -> None:
         """Replay parked events through the eager pixel pipeline.
 
-        Consecutive delivered frames replay via :meth:`decode_batch`
-        (one stacked IDCT per run) with losses applied between runs,
-        on a persistent internal eager decoder whose state carries
-        across calls -- so repeated materialise/defer cycles compose.
-        Each event's rendered output is retained for token lookup
-        (:meth:`frame_at_token`), and the internal decoder's reference
-        becomes this decoder's, making :attr:`last_frame` exact.
+        Events replay in order through :meth:`decode` and
+        :meth:`mark_lost` on a persistent internal eager decoder whose
+        state carries across calls -- so repeated materialise/defer
+        cycles compose.  Each event's rendered output is retained for
+        token lookup (:meth:`frame_at_token`), and the internal
+        decoder's reference becomes this decoder's, making
+        :attr:`last_frame` exact.
         """
         if not self._events:
             return
         inner = self._inner
         if inner is None:
-            inner = self._inner = VideoDecoder(
-                self.spec, batch=self.batch, pixels=True
-            )
-        outputs = self._event_frames
-        run: List[EncodedFrame] = []
-        for event in self._events:
-            if type(event) is int:
-                if run:
-                    outputs.extend(inner.decode_batch(run))
-                    run = []
-                outputs.append(inner.mark_lost(event))
-            else:
-                run.append(event)
-        if run:
-            outputs.extend(inner.decode_batch(run))
+            inner = self._inner = VideoDecoder(self.spec, pixels=True)
+        self._event_frames.extend(
+            inner.mark_lost(event) if type(event) is int else inner.decode(event)
+            for event in self._events
+        )
         self._events = []
         # The replay runs the same state machine this decoder already
         # ran eagerly; any divergence is a defect, not a data error.

@@ -139,9 +139,16 @@ class TestAudioCodecConfig:
 
 class TestEncodeDecode:
     def test_frame_shape_enforced(self):
-        codec = AudioCodec()
-        with pytest.raises(CodecError):
-            codec.encode_frame(np.zeros(100))
+        # 640-sample frames from a 32 kHz codec cannot be laid into a
+        # 16 kHz decoder's 320-sample slots: push refuses them rather
+        # than letting waveform() fail on a numpy broadcast.
+        wide = AudioCodec(AudioCodecConfig(sample_rate=32_000))
+        frames = wide.encode(np.zeros(2 * wide.config.frame_samples))
+        decoder = AudioDecoder(AudioCodec())
+        with pytest.raises(CodecError, match="640 samples"):
+            decoder.push(frames[0])
+        assert decoder.frames_received == 0
+        assert decoder.waveform().size == 0
 
     def test_buffer_must_be_multiple(self):
         codec = AudioCodec()

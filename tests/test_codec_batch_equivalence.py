@@ -1,27 +1,29 @@
-"""Bit-identity of the codec batching engine.
+"""Codec twins: reference audio codec, deferred and closed-loop video.
 
-PR 5 vectorises both codecs -- one DCT over a tick's audio frame
-matrix, stacked block transforms and sparse block gathering for video
--- but, like the packet-path fast lane, batching must be *exactly* the
-same codec: identical quantiser walks, identical sparse coefficients,
-identical size estimates, identical reconstructions and rate-controller
-state.  These tests diff the batched entry points against their
-per-frame twins (``batch=False``) coefficient by coefficient, then run
-a full session both ways and diff every artifact.
+Each codec has one implementation.  The audio codec encodes a whole
+buffer with one DCT over its ``(frames, samples)`` matrix and one
+vectorised quantiser bisection, and decodes lazily with one batched
+IDCT.  A per-frame reference kept here -- one DCT, one scalar 24-probe
+bisection and one IDCT per frame -- pins it frame by frame: levels,
+quantiser steps, frame indices, sizes and decoded samples.
+
+The video decoder's deferred mode parks delivered frames and replays
+them at materialise time; it is diffed against eager decoding, down to
+the frames a desktop recorder grabs.  The encoder's closed-loop
+reference is diffed against the decoder's reconstruction.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import fft as sp_fft
 
-import repro.media.batching as batching
-import repro.net.packet as packet_mod
 from repro.clients.recorder import DEFAULT_RESAMPLE, DesktopRecorder
-from repro.core.session import SessionConfig
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.errors import CodecError
 from repro.media.audio import SpeechLikeSource, ToneSource
@@ -29,6 +31,7 @@ from repro.media.audio_codec import (
     AudioCodec,
     AudioCodecConfig,
     AudioDecoder,
+    EncodedAudioFrame,
 )
 from repro.media.feeds import HighMotionFeed, LowMotionFeed, StaticFeed
 from repro.media.frames import FrameSpec
@@ -41,21 +44,83 @@ from repro.media.video_codec import (
     _block_dct,
     _block_idct,
     _estimate_bits,
-    _pad_to_blocks,
     _skip_deadzone_mask,
 )
 
 
-@pytest.fixture(autouse=True)
-def _restore_batch_default():
-    original = batching.BATCH_DEFAULT
-    yield
-    batching.BATCH_DEFAULT = original
+# --------------------------------------------------------------------- #
+# Audio: the per-frame reference codec.
+# --------------------------------------------------------------------- #
 
 
-def assert_audio_frames_equal(batched, per_frame):
-    assert len(batched) == len(per_frame)
-    for a, b in zip(batched, per_frame):
+def _reference_probe_bits(levels):
+    """Bit-model cost of one frame's non-negative quantised levels."""
+    per_level = np.log2(1.0 + levels)
+    return 1.7 * np.sum(per_level) + 2.5 * np.count_nonzero(levels) + 64.0
+
+
+def _reference_fit_quantiser(coeffs, budget_bits):
+    """Scalar 24-probe bisection for one frame's quantiser step."""
+    lo, hi = 1e-4, 10.0
+    magnitudes = np.abs(coeffs)
+    for _ in range(24):
+        mid = math.sqrt(lo * hi)
+        levels = np.round(magnitudes / mid)
+        if float(_reference_probe_bits(levels)) > budget_bits:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class _ReferenceAudioEncoder:
+    """Per-frame audio encoder: one DCT and one bisection per frame."""
+
+    def __init__(self, config):
+        self.config = config
+        self._next_index = 0
+
+    def encode(self, samples):
+        n = self.config.frame_samples
+        return [self._encode_one(samples[i : i + n])
+                for i in range(0, len(samples), n)]
+
+    def _encode_one(self, samples):
+        coeffs = sp_fft.dct(np.asarray(samples, dtype=np.float64), norm="ortho")
+        q_step = _reference_fit_quantiser(coeffs, self.config.frame_budget_bits)
+        levels = np.round(coeffs / q_step).astype(np.int32)
+        nonzero = np.nonzero(levels)[0]
+        values = levels[nonzero].astype(np.int16)
+        bits = 64.0
+        if values.size:
+            magnitudes = np.abs(values.astype(np.float64))
+            bits += float(np.sum(2.5 + 1.7 * np.log2(1.0 + magnitudes)))
+        frame = EncodedAudioFrame(
+            index=self._next_index,
+            q_step=q_step,
+            indices=nonzero.astype(np.int32),
+            values=values,
+            frame_samples=self.config.frame_samples,
+            size_bytes=int(np.ceil(bits / 8.0)),
+        )
+        self._next_index += 1
+        return frame
+
+
+class _ReferenceAudioDecoder(AudioDecoder):
+    """Eager decoder: one IDCT per pushed frame, nothing parked."""
+
+    def push(self, frame):
+        coeffs = np.zeros(frame.frame_samples, dtype=np.float64)
+        coeffs[frame.indices] = frame.values.astype(np.float64) * frame.q_step
+        self._frames[frame.index] = sp_fft.idct(coeffs, norm="ortho")
+        self._max_index = max(self._max_index, frame.index)
+        self.frames_received += 1
+
+
+def assert_audio_frames_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         assert a.index == b.index
         assert a.q_step == b.q_step
         assert a.frame_samples == b.frame_samples
@@ -66,22 +131,74 @@ def assert_audio_frames_equal(batched, per_frame):
         assert a.size_bytes == b.size_bytes
 
 
-def assert_video_frames_equal(batched, per_frame):
-    assert len(batched) == len(per_frame)
-    for a, b in zip(batched, per_frame):
-        assert a.index == b.index
-        assert a.keyframe == b.keyframe
-        assert a.q_step == b.q_step
-        assert a.shape == b.shape
-        assert tuple(a.crop) == tuple(b.crop)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
-        assert a.size_bytes == b.size_bytes
+def _encode_both(config, samples, ticks=(10**9,)):
+    """Encode with the codec and the reference, cycling through ``ticks``
+    frames per call (default: the whole buffer in one call); asserts the
+    two agree and returns the codec's frames."""
+    codec, reference = AudioCodec(config), _ReferenceAudioEncoder(config)
+    got, want = [], []
+    start, tick = 0, 0
+    while start < len(samples):
+        end = start + ticks[tick % len(ticks)] * config.frame_samples
+        got += codec.encode(samples[start:end])
+        want += reference.encode(samples[start:end])
+        start, tick = end, tick + 1
+    assert_audio_frames_equal(got, want)
+    return got
 
 
-# --------------------------------------------------------------------- #
-# Audio codec.
-# --------------------------------------------------------------------- #
+def _signal(kind, frames, frame_samples, seed):
+    count = frames * frame_samples
+    rng = np.random.default_rng(seed)
+    if kind == "speech":
+        return SpeechLikeSource(seed=seed).samples(0, count)
+    if kind == "silence":
+        return np.zeros(count)
+    if kind == "noise":
+        return rng.normal(0.0, 0.4, count)
+    return rng.normal(0.0, 80.0, count)  # overload: far beyond any budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bitrate=st.floats(min_value=4_000.0, max_value=128_000.0),
+    kind=st.sampled_from(["speech", "silence", "noise", "overload"]),
+    frames=st.integers(min_value=0, max_value=30),
+    ticks=st.lists(st.integers(min_value=1, max_value=9), min_size=1,
+                   max_size=8),
+    concealment=st.sampled_from(["repeat", "silence"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_audio_codec_matches_per_frame_reference(
+    bitrate, kind, frames, ticks, concealment, seed
+):
+    """Batched encode and lazy decode equal the per-frame reference for
+    any bitrate, signal and split of the stream into ticks."""
+    config = AudioCodecConfig(bitrate_bps=bitrate, concealment=concealment)
+    n = config.frame_samples
+    got = _encode_both(config, _signal(kind, frames, n, seed), ticks)
+    assert [f.index for f in got] == list(range(frames))
+
+    # Deliver out of order with losses and a duplicate, draining the
+    # lazy decoder part-way through.
+    rng = random.Random(seed)
+    delivered = [f for f in got if rng.random() > 0.2]
+    rng.shuffle(delivered)
+    if delivered:
+        delivered.append(delivered[rng.randrange(len(delivered))])
+    drain_at = rng.randrange(len(delivered) + 1)
+    lazy = AudioDecoder(AudioCodec(config))
+    eager = _ReferenceAudioDecoder(AudioCodec(config))
+    for position, frame in enumerate(delivered):
+        if position == drain_at:
+            lazy.waveform(frames)
+            eager.waveform(frames)
+        lazy.push(frame)
+        eager.push(frame)
+    assert np.array_equal(lazy.waveform(frames), eager.waveform(frames))
+    assert np.array_equal(lazy.waveform(), eager.waveform())
+    assert lazy.frames_received == eager.frames_received
+    assert lazy.frames_concealed == eager.frames_concealed
 
 
 class TestAudioEncodeEquivalence:
@@ -89,22 +206,7 @@ class TestAudioEncodeEquivalence:
     def test_speech_bit_identical(self, bitrate):
         config = AudioCodecConfig(bitrate_bps=bitrate)
         speech = SpeechLikeSource(seed=5).read_duration(0.0, 1.5)
-        batched = AudioCodec(config, batch=True).encode(speech)
-        per_frame = AudioCodec(config, batch=False).encode(speech)
-        assert batched, "speech clip produced no frames"
-        assert_audio_frames_equal(batched, per_frame)
-
-    def test_per_frame_path_is_the_encode_frame_loop(self):
-        config = AudioCodecConfig(bitrate_bps=45_000)
-        speech = SpeechLikeSource(seed=5).read_duration(0.0, 0.5)
-        codec = AudioCodec(config, batch=False)
-        loop = AudioCodec(config, batch=True)
-        frame_samples = config.frame_samples
-        manual = [
-            loop.encode_frame(speech[i : i + frame_samples])
-            for i in range(0, len(speech), frame_samples)
-        ]
-        assert_audio_frames_equal(manual, codec.encode(speech))
+        assert _encode_both(config, speech), "speech clip produced no frames"
 
     def test_silence_and_noise_and_overload(self):
         config = AudioCodecConfig(bitrate_bps=45_000)
@@ -116,38 +218,22 @@ class TestAudioEncodeEquivalence:
             ToneSource().read_duration(0.0, 0.2),
         ]
         for samples in signals:
-            batched = AudioCodec(config, batch=True).encode(samples)
-            per_frame = AudioCodec(config, batch=False).encode(samples)
-            assert_audio_frames_equal(batched, per_frame)
+            _encode_both(config, samples)
 
     def test_empty_buffer(self):
-        assert AudioCodec(batch=True).encode(np.zeros(0)) == []
+        assert AudioCodec().encode(np.zeros(0)) == []
 
     def test_misaligned_buffer_rejected(self):
-        codec = AudioCodec(batch=True)
+        codec = AudioCodec()
         with pytest.raises(CodecError):
             codec.encode(np.zeros(codec.config.frame_samples + 1))
-
-    def test_batch_default_respected(self):
-        batching.BATCH_DEFAULT = False
-        assert not AudioCodec().batch
-        batching.BATCH_DEFAULT = True
-        assert AudioCodec().batch
-        assert not AudioCodec(batch=False).batch
 
     def test_index_continuity_across_batches(self):
         """Tick-sized batches continue the frame index like the loop."""
         config = AudioCodecConfig(bitrate_bps=45_000)
         speech = SpeechLikeSource(seed=5).read_duration(0.0, 1.0)
-        tick = 5 * config.frame_samples
-        batched = AudioCodec(config, batch=True)
-        per_frame = AudioCodec(config, batch=False)
-        out_b, out_s = [], []
-        for start in range(0, len(speech), tick):
-            out_b += batched.encode(speech[start : start + tick])
-            out_s += per_frame.encode(speech[start : start + tick])
-        assert [f.index for f in out_b] == list(range(len(out_b)))
-        assert_audio_frames_equal(out_b, out_s)
+        frames = _encode_both(config, speech, ticks=(5,))
+        assert [f.index for f in frames] == list(range(len(frames)))
 
 
 class TestAudioDecodeEquivalence:
@@ -158,8 +244,8 @@ class TestAudioDecodeEquivalence:
 
     def test_lazy_batched_waveform_bit_identical(self):
         config, frames = self._frames()
-        lazy = AudioDecoder(AudioCodec(config), batch=True)
-        eager = AudioDecoder(AudioCodec(config), batch=False)
+        lazy = AudioDecoder(AudioCodec(config))
+        eager = _ReferenceAudioDecoder(AudioCodec(config))
         order = [f for f in frames if f.index not in {5, 6, 40}]
         random.Random(1).shuffle(order)
         order.append(order[3])  # duplicate delivery
@@ -173,7 +259,7 @@ class TestAudioDecodeEquivalence:
 
     def test_waveform_idempotent_after_drain(self):
         config, frames = self._frames()
-        lazy = AudioDecoder(AudioCodec(config), batch=True)
+        lazy = AudioDecoder(AudioCodec(config))
         for frame in frames:
             lazy.push(frame)
         first = lazy.waveform(len(frames))
@@ -182,8 +268,8 @@ class TestAudioDecodeEquivalence:
 
     def test_push_after_drain_decodes_late_frame(self):
         config, frames = self._frames()
-        lazy = AudioDecoder(AudioCodec(config), batch=True)
-        eager = AudioDecoder(AudioCodec(config), batch=False)
+        lazy = AudioDecoder(AudioCodec(config))
+        eager = _ReferenceAudioDecoder(AudioCodec(config))
         for frame in frames[:-1]:
             lazy.push(frame)
             eager.push(frame)
@@ -197,7 +283,7 @@ class TestAudioDecodeEquivalence:
 
 class TestQuantiserProperties:
     def test_silent_frame_minimal_size(self):
-        codec = AudioCodec(batch=True)
+        codec = AudioCodec()
         [frame] = codec.encode(np.zeros(codec.config.frame_samples))
         assert frame.indices.size == 0
         assert frame.values.size == 0
@@ -206,28 +292,24 @@ class TestQuantiserProperties:
     def test_fitted_step_meets_budget(self):
         """The returned step's realised probe bits fit the budget."""
         config = AudioCodecConfig(bitrate_bps=45_000)
-        codec = AudioCodec(config)
         speech = SpeechLikeSource(seed=5).read_duration(0.0, 0.5)
-        n = config.frame_samples
-        from scipy import fft as sp_fft
-
-        for start in range(0, len(speech), n):
-            coeffs = sp_fft.dct(speech[start : start + n], norm="ortho")
-            step = codec._fit_quantiser(coeffs, config.frame_budget_bits)
-            levels = np.round(np.abs(coeffs) / step)
-            bits = float(codec._probe_bits(levels))
+        stack = sp_fft.dct(speech.reshape(-1, config.frame_samples),
+                           norm="ortho")
+        steps = AudioCodec(config)._fit_quantiser_batch(
+            stack, config.frame_budget_bits
+        )
+        for coeffs, step in zip(stack, steps):
+            bits = _reference_probe_bits(np.round(np.abs(coeffs) / step))
             assert bits <= config.frame_budget_bits or step == 10.0
 
     def test_batch_fit_matches_scalar_fit(self):
         config = AudioCodecConfig(bitrate_bps=45_000)
         codec = AudioCodec(config)
         rng = np.random.default_rng(2)
-        from scipy import fft as sp_fft
-
         stack = sp_fft.dct(rng.normal(0, 0.5, (17, 320)), norm="ortho")
         batched = codec._fit_quantiser_batch(stack, config.frame_budget_bits)
         scalar = [
-            codec._fit_quantiser(stack[i], config.frame_budget_bits)
+            _reference_fit_quantiser(stack[i], config.frame_budget_bits)
             for i in range(stack.shape[0])
         ]
         assert np.array_equal(batched, np.array(scalar))
@@ -235,12 +317,10 @@ class TestQuantiserProperties:
     def test_higher_budget_finer_step(self):
         codec = AudioCodec()
         rng = np.random.default_rng(3)
-        from scipy import fft as sp_fft
-
-        coeffs = sp_fft.dct(rng.normal(0, 0.5, 320), norm="ortho")
-        fine = codec._fit_quantiser(coeffs, 2000.0)
-        coarse = codec._fit_quantiser(coeffs, 500.0)
-        assert fine <= coarse
+        coeffs = sp_fft.dct(rng.normal(0, 0.5, (1, 320)), norm="ortho")
+        fine = codec._fit_quantiser_batch(coeffs, 2000.0)
+        coarse = codec._fit_quantiser_batch(coeffs, 500.0)
+        assert fine[0] <= coarse[0]
 
 
 # --------------------------------------------------------------------- #
@@ -251,147 +331,154 @@ class TestQuantiserProperties:
 SPEC = FrameSpec(128, 96, 12)
 
 
-def _encode_both(spec, feed_cls, count, gop=5, rate=300_000, splits=None,
-                 force_at=None, retarget_at=None, dtype=None):
-    """Encode the same frames batched and per-frame; return both lists."""
-    config = VideoCodecConfig(gop_size=gop)
-    batched = VideoCodec(spec, config, target_bps=rate, batch=True)
-    per_frame = VideoCodec(spec, config, target_bps=rate, batch=False)
-    feed = feed_cls(spec, seed=3)
-    frames = np.stack(feed.frames(count))
-    if dtype is not None:
-        frames = frames.astype(dtype)
-    splits = splits or [count]
-    out_b, out_s = [], []
+def _encoded_stream(count=24, gop=6):
+    codec = VideoCodec(SPEC, VideoCodecConfig(gop_size=gop),
+                       target_bps=300_000)
+    return codec.encode_batch(np.stack(LowMotionFeed(SPEC).frames(count)))
+
+
+def _encode_in_sync(spec, feed_cls, count, gop=5, rate=300_000, splits=None,
+                    force_at=None, retarget_at=None):
+    """Encode bursts and decode every frame as it is produced.
+
+    After every burst the decoder's reconstruction must equal the
+    encoder's closed-loop reference bit for bit: the encoder dequantises
+    its dense int16 levels, the decoder the sparse frame.
+    """
+    codec = VideoCodec(spec, VideoCodecConfig(gop_size=gop), target_bps=rate)
+    decoder = VideoDecoder(spec)
+    frames = np.stack(feed_cls(spec, seed=3).frames(count))
+    encoded = []
     start = 0
-    for size in splits:
+    for size in splits or [count]:
         if force_at is not None and start == force_at:
-            batched.request_keyframe()
-            per_frame.request_keyframe()
+            codec.request_keyframe()
         if retarget_at is not None and start == retarget_at:
-            batched.rate_controller.set_target(rate / 3.0)
-            per_frame.rate_controller.set_target(rate / 3.0)
-        chunk = frames[start : start + size]
-        out_b += batched.encode_batch(chunk)
-        out_s += [per_frame.encode(frame) for frame in chunk]
+            codec.rate_controller.set_target(rate / 3.0)
+        burst = codec.encode_batch(frames[start : start + size])
+        for frame in burst:
+            assert decoder.decode(frame) is not None
+        assert np.array_equal(decoder._reference, codec._reference)
+        encoded += burst
         start += size
-    assert_video_frames_equal(out_b, out_s)
-    assert batched.rate_controller.q_step == per_frame.rate_controller.q_step
-    assert np.array_equal(batched._reference, per_frame._reference)
-    return out_b, out_s
+    assert [f.index for f in encoded] == list(range(count))
+    assert decoder.frames_decoded == count
+    return encoded
 
 
 class TestVideoEncodeEquivalence:
+    """Encoder reference and decoder reconstruction stay bit-identical."""
+
     def test_gop_cadence_bit_identical(self):
-        _encode_both(SPEC, LowMotionFeed, 17, gop=5, splits=[8, 9])
+        encoded = _encode_in_sync(SPEC, LowMotionFeed, 17, gop=5,
+                                  splits=[8, 9])
+        assert [f.keyframe for f in encoded] == [
+            f.index % 5 == 0 for f in encoded
+        ]
 
     def test_high_motion_with_forced_keyframe(self):
-        _encode_both(SPEC, HighMotionFeed, 14, gop=30, splits=[7, 7],
-                     force_at=7)
+        encoded = _encode_in_sync(SPEC, HighMotionFeed, 14, gop=30,
+                                  splits=[7, 7], force_at=7)
+        assert [f.index for f in encoded if f.keyframe] == [0, 7]
 
     def test_rate_change_boundary(self):
-        _encode_both(SPEC, HighMotionFeed, 16, gop=8, splits=[8, 8],
-                     retarget_at=8)
+        encoded = _encode_in_sync(SPEC, HighMotionFeed, 16, gop=8,
+                                  splits=[8, 8], retarget_at=8)
+        assert encoded[-1].q_step > encoded[7].q_step
 
     def test_static_feed_skip_deadzone(self):
-        encoded, _ = _encode_both(SPEC, StaticFeed, 12, gop=600)
+        encoded = _encode_in_sync(SPEC, StaticFeed, 12, gop=600)
         # The deadzone must actually engage: settled frames code nothing.
         assert any(f.values.size == 0 and not f.keyframe for f in encoded)
 
     def test_odd_resolution_through_padding(self):
-        _encode_both(FrameSpec(100, 75, 10), LowMotionFeed, 9,
-                     splits=[3, 3, 3])
+        spec = FrameSpec(100, 75, 10)
+        encoded = _encode_in_sync(spec, LowMotionFeed, 9, splits=[3, 3, 3])
+        assert all(f.shape == (80, 104) for f in encoded)
+        assert all(tuple(f.crop) == (75, 100) for f in encoded)
 
     def test_minimal_plane(self):
-        _encode_both(FrameSpec(16, 16, 10), LowMotionFeed, 6)
+        _encode_in_sync(FrameSpec(16, 16, 10), LowMotionFeed, 6)
 
     def test_float_input_stack(self):
-        _encode_both(SPEC, LowMotionFeed, 6, dtype=np.float64)
-        _encode_both(SPEC, LowMotionFeed, 6, dtype=np.float32)
+        """Integral float frames encode exactly like their uint8 source."""
+        frames = np.stack(LowMotionFeed(SPEC, seed=3).frames(6))
+
+        def signature(stack):
+            return [(f.keyframe, f.q_step, f.size_bytes, f.indices.tobytes(),
+                     f.values.tobytes())
+                    for f in VideoCodec(SPEC).encode_batch(stack)]
+
+        assert signature(frames.astype(np.float64)) == signature(frames)
+        assert signature(frames.astype(np.float32)) == signature(frames)
 
     def test_single_frame_and_empty_batch(self):
-        codec = VideoCodec(SPEC, batch=True)
+        codec = VideoCodec(SPEC)
         assert codec.encode_batch(np.zeros((0,) + SPEC.shape, np.uint8)) == []
-        _encode_both(SPEC, LowMotionFeed, 1)
+        _encode_in_sync(SPEC, LowMotionFeed, 1)
 
     def test_wrong_geometry_rejected(self):
-        codec = VideoCodec(SPEC, batch=True)
+        codec = VideoCodec(SPEC)
         with pytest.raises(CodecError):
             codec.encode_batch(np.zeros((3, 10, 10), dtype=np.uint8))
 
 
 class TestVideoDecodeEquivalence:
-    def _encoded(self, count=24, gop=6):
-        codec = VideoCodec(SPEC, VideoCodecConfig(gop_size=gop),
-                           target_bps=300_000)
-        return codec.encode_batch(np.stack(LowMotionFeed(SPEC).frames(count)))
+    """A deferred decoder replays to exactly what eager decoding showed."""
 
-    def _assert_same_decode(self, frames):
-        batched = VideoDecoder(SPEC, batch=True)
-        per_frame = VideoDecoder(SPEC, batch=False)
-        out_b = batched.decode_batch(frames)
-        out_s = [per_frame.decode(frame) for frame in frames]
-        assert len(out_b) == len(out_s)
-        for a, b in zip(out_b, out_s):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a, b)
-        assert batched.frames_decoded == per_frame.frames_decoded
-        assert batched.frames_frozen == per_frame.frames_frozen
-        if per_frame._reference is None:
-            assert batched._reference is None
+    def _assert_same_decode(self, deliveries, materialise_after=None):
+        """``deliveries``: encoded frames, or ints for transport losses."""
+        deferred = VideoDecoder(SPEC, defer=True)
+        eager = VideoDecoder(SPEC)
+        expected = []
+        for position, item in enumerate(deliveries):
+            if isinstance(item, int):
+                deferred.mark_lost(item)
+                expected.append(eager.mark_lost(item))
+            else:
+                deferred.decode(item)
+                expected.append(eager.decode(item))
+            if position == materialise_after:
+                deferred.materialise()
+        for token, want in enumerate(expected, start=1):
+            got = deferred.frame_at_token(token)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+        assert deferred.frames_decoded == eager.frames_decoded
+        assert deferred.frames_frozen == eager.frames_frozen
+        if eager._reference is None:
+            assert deferred._reference is None
         else:
-            assert np.array_equal(batched._reference, per_frame._reference)
+            assert np.array_equal(deferred._reference, eager._reference)
 
     def test_clean_burst(self):
-        self._assert_same_decode(self._encoded())
+        self._assert_same_decode(_encoded_stream())
 
     def test_losses_freeze_and_resync(self):
-        frames = self._encoded()
+        frames = _encoded_stream()
         self._assert_same_decode([f for f in frames if f.index not in {3, 13}])
 
     def test_burst_starting_on_inter_frame(self):
-        frames = self._encoded()
+        frames = _encoded_stream()
         self._assert_same_decode(frames[2:])
 
     def test_burst_ending_frozen_keeps_awaiting_state(self):
-        """A burst whose tail is lost leaves the decoder awaiting a
-        keyframe, so later per-frame decodes freeze exactly like the
-        pure per-frame history."""
-        frames = self._encoded(count=20, gop=8)
+        """A replay that ends frozen leaves the inner decoder awaiting a
+        keyframe, so frames deferred after it freeze exactly as the
+        eager history does."""
+        frames = _encoded_stream(count=20, gop=8)
         kept = [f for f in frames[:12] if f.index != 10]  # ends frozen
-        batched = VideoDecoder(SPEC, batch=True)
-        per_frame = VideoDecoder(SPEC, batch=False)
-        batched.decode_batch(kept)
-        [per_frame.decode(f) for f in kept]
-        for frame in frames[12:]:
-            a = batched.decode(frame)
-            b = per_frame.decode(frame)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a, b)
-        assert batched.frames_decoded == per_frame.frames_decoded
-        assert batched.frames_frozen == per_frame.frames_frozen
-        assert np.array_equal(batched._reference, per_frame._reference)
+        self._assert_same_decode(kept + frames[12:],
+                                 materialise_after=len(kept) - 1)
 
     def test_mark_lost_between_bursts(self):
-        frames = self._encoded()
-        batched = VideoDecoder(SPEC, batch=True)
-        per_frame = VideoDecoder(SPEC, batch=False)
-        batched.decode_batch(frames[:2])
-        [per_frame.decode(f) for f in frames[:2]]
-        batched.mark_lost(2)
-        per_frame.mark_lost(2)
-        out_b = batched.decode_batch(frames[3:])
-        out_s = [per_frame.decode(f) for f in frames[3:]]
-        for a, b in zip(out_b, out_s):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a, b)
-        assert batched.frames_frozen == per_frame.frames_frozen
+        frames = _encoded_stream()
+        self._assert_same_decode(frames[:2] + [2] + frames[3:],
+                                 materialise_after=1)
 
     def test_stats_only_decoder_matches_pixel_stats(self):
-        frames = self._encoded()
+        frames = _encoded_stream()
         kept = [f for f in frames if f.index not in {4, 9, 10}]
         stats = VideoDecoder(SPEC, pixels=False)
         pixel = VideoDecoder(SPEC, pixels=True)
@@ -414,13 +501,8 @@ class TestDeferredDecodeEquivalence:
     the frame the eager path would have grabbed.
     """
 
-    def _encoded(self, count=24, gop=6):
-        codec = VideoCodec(SPEC, VideoCodecConfig(gop_size=gop),
-                           target_bps=300_000)
-        return codec.encode_batch(np.stack(LowMotionFeed(SPEC).frames(count)))
-
     def test_token_replay_bit_identical(self):
-        frames = self._encoded()
+        frames = _encoded_stream()
         deferred = VideoDecoder(SPEC, defer=True)
         eager = VideoDecoder(SPEC, defer=False)
         expected = []
@@ -448,7 +530,7 @@ class TestDeferredDecodeEquivalence:
 
     def test_materialise_cycles_compose(self):
         """Mid-stream materialise + further deferral stays exact."""
-        frames = self._encoded(count=20, gop=5)
+        frames = _encoded_stream(count=20, gop=5)
         deferred = VideoDecoder(SPEC, defer=True)
         eager = VideoDecoder(SPEC, defer=False)
         expected = []
@@ -595,27 +677,6 @@ class TestDeferredRecorder:
 
 
 class TestBlockKernelProperties:
-    def test_stacked_pad_matches_per_frame(self):
-        rng = np.random.default_rng(1)
-        stack = rng.integers(0, 256, size=(5, 75, 100)).astype(np.float64)
-        padded = _pad_to_blocks(stack)
-        assert padded.shape == (5, 80, 104)
-        for i in range(5):
-            assert np.array_equal(padded[i], _pad_to_blocks(stack[i]))
-        # Edge padding replicates the border rows/columns.
-        assert np.array_equal(padded[0, 75:, :100],
-                              np.tile(stack[0, 74], (5, 1)))
-
-    def test_stacked_block_dct_matches_per_frame(self):
-        rng = np.random.default_rng(2)
-        stack = rng.normal(0, 30, size=(4, 32, 40))
-        coeffs = _block_dct(stack)
-        for i in range(4):
-            assert np.array_equal(coeffs[i], _block_dct(stack[i]))
-        back = _block_idct(coeffs, (32, 40))
-        for i in range(4):
-            assert np.array_equal(back[i], _block_idct(coeffs[i], (32, 40)))
-
     def test_single_block_plane_roundtrip(self):
         rng = np.random.default_rng(3)
         plane = rng.normal(0, 10, size=(BLOCK, BLOCK))
@@ -652,68 +713,3 @@ class TestBlockKernelProperties:
         assert settled.values.size == 0
         num_blocks = (settled.shape[0] // BLOCK) * (settled.shape[1] // BLOCK)
         assert settled.size_bytes == int(np.ceil((num_blocks + 256) / 8.0))
-
-
-# --------------------------------------------------------------------- #
-# End-to-end: one session, batching on vs off.
-# --------------------------------------------------------------------- #
-
-
-CLIENTS = ("US-East", "US-East2", "US-Central")
-
-
-def _run_session(codec_batch: bool):
-    """One short A/V session; returns comparable artifact signatures."""
-    packet_mod._packet_ids = itertools.count(1)
-    testbed = Testbed(TestbedConfig(seed=11))
-    for name in CLIENTS:
-        testbed.add_vm(name)
-    config = SessionConfig(
-        duration_s=4.0,
-        feed="low",
-        pad_fraction=0.15,
-        content_spec=FrameSpec(128, 96, 12),
-        audio=True,
-        record_video=True,
-        record_audio=True,
-        probes=False,
-        session_index=0,
-        feed_seed=11,
-        codec_batch=codec_batch,
-    )
-    artifacts = testbed.run_session("zoom", list(CLIENTS), "US-East", config)
-    captures = {
-        name: [tuple(row) for row in capture._rows]
-        for name, capture in artifacts.captures.items()
-    }
-    qoe_inputs = {
-        name: b"".join(frame.tobytes() for frame in recorder.frames_head(16))
-        for name, recorder in artifacts.recorders.items()
-    }
-    audio_flow = artifacts.wiring.audio_flow("US-East")
-    waveforms = {
-        name: artifacts.recorded_audio(name, audio_flow).tobytes()
-        for name in CLIENTS
-        if name != "US-East"
-    }
-    network = testbed.network
-    return {
-        "captures": captures,
-        "qoe_inputs": qoe_inputs,
-        "waveforms": waveforms,
-        "rng_state": str(network.rng.bit_generator.state),
-        "now": network.simulator.now,
-        "rates": artifacts.rate_summary(),
-    }
-
-
-class TestSessionRegression:
-    def test_batching_on_off_bit_identical(self):
-        on = _run_session(True)
-        off = _run_session(False)
-        assert on["captures"] == off["captures"]
-        assert on["qoe_inputs"] == off["qoe_inputs"]
-        assert on["waveforms"] == off["waveforms"]
-        assert on["rng_state"] == off["rng_state"]
-        assert on["now"] == off["now"]
-        assert on["rates"] == off["rates"]
