@@ -7,7 +7,9 @@ The scheduler speaks one protocol -- ``submit(WorkUnit)`` then
   no forks; the ``workers == 1`` path).
 * :class:`WorkerExecutor` -- N long-lived worker processes the
   executor owns outright, fed one unit at a time over per-worker
-  queues with per-cell progress reporting.  The parent knows exactly
+  queues with per-cell progress reporting on a per-worker result
+  pipe, so a worker killed mid-message can only lose its own
+  messages, never block another worker's.  The parent knows exactly
   which unit each worker holds, detects death by liveness, enforces
   per-cell timeouts by killing only the stuck worker, and requeues
   only the cells the worker never reported.  A worker whose parent
@@ -25,6 +27,7 @@ import queue as queue_module
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_channels
 from typing import Any, Deque, Dict, List, Optional
 
 from ..runner import execute_cell
@@ -147,7 +150,7 @@ class InlineExecutor(ExecutorBase):
         return events
 
 
-def _worker_main(worker_id: int, task_queue, result_queue) -> None:
+def _worker_main(task_queue, results) -> None:
     """Worker loop: pull a unit, report per-cell progress, repeat.
 
     Runs in a child process.  The ``claim`` message before each cell is
@@ -156,6 +159,12 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     the parent it started under is still alive: a SIGKILLed parent
     cannot shut its workers down, so they exit by themselves
     (``os._exit`` skips flushing results nobody will read).
+
+    ``results`` is the write end of a pipe only this worker holds, and
+    ``send`` writes from the calling thread: a process-shared queue
+    would write from a feeder thread under a lock shared by every
+    worker, and a worker SIGKILLed while its feeder held that lock
+    would block every other worker's results for good.
     """
     parent = os.getppid()
     while True:
@@ -169,21 +178,23 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
             break
         unit_id, payloads = item
         for payload in payloads:
-            result_queue.put(("claim", worker_id, unit_id,
-                              payload["cell_id"]))
+            results.send(("claim", unit_id, payload["cell_id"]))
             record = execute_cell(payload)
-            result_queue.put(("done", worker_id, unit_id, record))
-        result_queue.put(("unit-done", worker_id, unit_id, None))
+            results.send(("done", unit_id, record))
+        results.send(("unit-done", unit_id, None))
 
 
 @dataclass
 class _WorkerSlot:
-    worker_id: int
     process: Any
     task_queue: Any
+    #: Read end of the worker's result pipe.
+    results: Any
     unit: Optional[WorkUnit] = None
     reported: "set[str]" = field(default_factory=set)
     last_progress: float = 0.0
+    #: The result pipe reached EOF: the worker is gone.
+    closed: bool = False
 
 
 class WorkerExecutor(ExecutorBase):
@@ -201,34 +212,27 @@ class WorkerExecutor(ExecutorBase):
                  cell_timeout_s: Optional[float] = None) -> None:
         super().__init__(workers=workers, cell_timeout_s=cell_timeout_s)
         self._ctx = multiprocessing.get_context()
-        self._result_queue = None
         self._slots: List[_WorkerSlot] = []
         self._pending: Deque[WorkUnit] = deque()
-        self._next_worker_id = 0
 
     def start(self) -> None:
-        if self._result_queue is None:
-            self._result_queue = self._ctx.Queue()
+        if not self._slots:
             self._slots = [self._spawn_slot() for _ in range(self.workers)]
 
     def _spawn_slot(self) -> _WorkerSlot:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
         task_queue = self._ctx.Queue()
+        results, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_queue, self._result_queue),
+            args=(task_queue, writer),
             daemon=True,
         )
         process.start()
-        return _WorkerSlot(worker_id=worker_id, process=process,
-                           task_queue=task_queue)
-
-    def _slot_by_worker(self, worker_id: int) -> Optional[_WorkerSlot]:
-        for slot in self._slots:
-            if slot.worker_id == worker_id:
-                return slot
-        return None  # a replaced worker's stale message
+        # The worker now holds the only write end, so its death reads
+        # as EOF here (and later workers never inherit this end).
+        writer.close()
+        return _WorkerSlot(process=process, task_queue=task_queue,
+                           results=results)
 
     def submit(self, unit: WorkUnit) -> None:
         self.start()
@@ -247,28 +251,34 @@ class WorkerExecutor(ExecutorBase):
                 slot.task_queue.put((unit.unit_id, list(unit.payloads)))
 
     def _drain(self, timeout: float) -> List[Event]:
+        """Wait up to ``timeout`` for any worker, then read all ready."""
         events: List[Event] = []
-        block = timeout
-        while True:
-            try:
-                message = self._result_queue.get(timeout=block)
-            except queue_module.Empty:
-                return events
-            block = 0.0  # drain whatever else is ready without waiting
-            tag, worker_id, unit_id, body = message
-            slot = self._slot_by_worker(worker_id)
-            if tag == "claim":
-                if slot is not None:
+        by_channel = {
+            slot.results: slot for slot in self._slots if not slot.closed
+        }
+        for channel in wait_for_channels(list(by_channel), timeout):
+            self._read(by_channel[channel], events)
+        return events
+
+    def _read(self, slot: _WorkerSlot, events: List[Event]) -> None:
+        """Handle every message already waiting on one worker's pipe."""
+        try:
+            while slot.results.poll():
+                tag, unit_id, body = slot.results.recv()
+                if tag == "claim":
                     slot.last_progress = time.monotonic()
-            elif tag == "done":
-                events.append(CellDone(unit_id, body))
-                if slot is not None:
+                elif tag == "done":
+                    events.append(CellDone(unit_id, body))
                     slot.reported.add(body["cell_id"])
                     slot.last_progress = time.monotonic()
-            elif tag == "unit-done":
-                if slot is not None and slot.unit is not None \
-                        and slot.unit.unit_id == unit_id:
-                    slot.unit = None
+                elif tag == "unit-done":
+                    if slot.unit is not None \
+                            and slot.unit.unit_id == unit_id:
+                        slot.unit = None
+        except (EOFError, OSError):
+            # The worker exited, possibly mid-message; poll() sees the
+            # dead process and requeues what it never reported.
+            slot.closed = True
 
     def poll(self, timeout: float = 0.25) -> List[Event]:
         self.start()
@@ -291,6 +301,10 @@ class WorkerExecutor(ExecutorBase):
                 slot.process.join(timeout=5.0)
             if reason is None:
                 continue
+            if not slot.closed:
+                # Credit results the worker sent before it died.
+                self._read(slot, events)
+            slot.results.close()
             if slot.unit is not None:
                 pending = tuple(
                     payload for payload in slot.unit.payloads
@@ -343,11 +357,9 @@ class WorkerExecutor(ExecutorBase):
             slot.process.join(timeout=1.0)
             if slot.process.is_alive():
                 slot.process.kill()
+            slot.results.close()
         self._slots = []
         self._pending.clear()
-        if self._result_queue is not None:
-            self._result_queue.close()
-            self._result_queue = None
 
 
 def make_executor(workers: int,

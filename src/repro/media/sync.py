@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
+from scipy import fft as sp_fft
 
 from ..errors import AnalysisError
 
@@ -153,6 +153,22 @@ def align_recordings(
     return best_shift, ref_slice[:overlap], rec_slice[:overlap]
 
 
+def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two 1-D float64 arrays via the FFT.
+
+    Bit-identical to scipy's real-input ``fftconvolve(a, b, "full")``:
+    the same fast transform length, the same calls in the same order,
+    and the same length-1 shortcut (a plain broadcast product).
+    """
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    fshape = [sp_fft.next_fast_len(n, True)]
+    sp_a = sp_fft.rfftn(a, fshape, axes=[0])
+    sp_b = sp_fft.rfftn(b, fshape, axes=[0])
+    return sp_fft.irfftn(sp_a * sp_b, fshape, axes=[0])[:n].copy()
+
+
 def find_audio_offset(
     reference: np.ndarray, recorded: np.ndarray, max_offset: int | None = None
 ) -> int:
@@ -161,14 +177,17 @@ def find_audio_offset(
     Positive result: the recording lags the reference by that many
     samples.  Computed by FFT cross-correlation (the approach of the
     paper's ``audio-offset-finder`` tool).
+
+    Raises:
+        AnalysisError: On empty or non-finite (NaN/inf) audio.
     """
     if len(reference) == 0 or len(recorded) == 0:
         raise AnalysisError("cannot correlate empty audio")
-    correlation = sp_signal.fftconvolve(
-        recorded.astype(np.float64),
-        reference[::-1].astype(np.float64),
-        mode="full",
-    )
+    rec = recorded.astype(np.float64)
+    ref = reference[::-1].astype(np.float64)
+    if not (np.isfinite(rec).all() and np.isfinite(ref).all()):
+        raise AnalysisError("cannot correlate non-finite audio")
+    correlation = _full_convolve(rec, ref)
     lags = np.arange(-(len(reference) - 1), len(recorded))
     if max_offset is not None:
         mask = np.abs(lags) <= max_offset

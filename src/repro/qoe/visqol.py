@@ -18,7 +18,7 @@ pipeline's shape:
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage, signal as sp_signal
+from scipy import fft as sp_fft, ndimage
 
 from ..errors import AnalysisError
 
@@ -61,30 +61,51 @@ def _mel_filterbank(
     return bank
 
 
+def _stft(x: np.ndarray) -> np.ndarray:
+    """One-sided STFT, ``(FRAME_SAMPLES // 2 + 1, frames)`` complex128.
+
+    Bit-identical to scipy's ``stft(x, nperseg=512, noverlap=256,
+    padded=False, boundary=None)``: a periodic Hann window built the
+    same way, the same framing, transform, scaling and operation order.
+    """
+    fac = np.linspace(-np.pi, np.pi, FRAME_SAMPLES + 1)
+    win = np.zeros(FRAME_SAMPLES + 1)
+    win += 0.5 * np.cos(0 * fac)
+    win += 0.5 * np.cos(1 * fac)
+    win = win[:-1]
+    segments = np.lib.stride_tricks.sliding_window_view(x, FRAME_SAMPLES)
+    segments = segments[..., ::HOP_SAMPLES, :]
+    result = sp_fft.rfft(win * segments, n=FRAME_SAMPLES)
+    result *= np.sqrt(1.0 / win.sum() ** 2)
+    return np.moveaxis(result, -1, -2)
+
+
 def spectrogram(audio: np.ndarray, sample_rate: int = 16_000) -> np.ndarray:
     """Mel-spaced log-power spectrogram, normalised to [0, 1].
 
+    Each spectrogram is normalised to its *own* peak over a fixed 80 dB
+    range, not to a reference's: its maximum is always 1.0, a quieter
+    copy of a signal maps to the same values (until bands reach the
+    1e-12 power floor), and an all-zero input -- every band at that
+    floor, which is then its peak -- maps to 1.0 everywhere.
+
     Raises:
-        AnalysisError: For audio shorter than one analysis frame.
+        AnalysisError: For audio shorter than one analysis frame or
+            holding a non-finite (NaN/inf) sample.
     """
     if len(audio) < FRAME_SAMPLES:
         raise AnalysisError(
             f"audio too short for spectrogram: {len(audio)} samples"
         )
-    freqs, times, stft = sp_signal.stft(
-        audio.astype(np.float64),
-        fs=sample_rate,
-        nperseg=FRAME_SAMPLES,
-        noverlap=FRAME_SAMPLES - HOP_SAMPLES,
-        padded=False,
-        boundary=None,
-    )
-    power = np.abs(stft) ** 2
+    samples = audio.astype(np.float64)
+    if not np.isfinite(samples).all():
+        raise AnalysisError("cannot build a spectrogram of non-finite audio")
+    power = np.abs(_stft(samples)) ** 2
     bank = _mel_filterbank(sample_rate, FRAME_SAMPLES, NUM_BANDS)
     mel_power = bank @ power
     log_power = 10.0 * np.log10(np.maximum(mel_power, 1e-12))
-    # Normalise to [0, 1] over a fixed 80 dB dynamic range anchored at
-    # the reference's peak, so silence maps to 0 regardless of level.
+    # Normalise to [0, 1] over a fixed 80 dB range below this
+    # spectrogram's own peak: anything 80 dB or more under it maps to 0.
     peak = float(log_power.max())
     floor = peak - 80.0
     return np.clip((log_power - floor) / 80.0, 0.0, 1.0)

@@ -316,6 +316,50 @@ class TestHardeningIntegration:
         assert summary.failed == 0
         assert len(_ok_content(str(tmp_path / "store.jsonl"))) == 4
 
+    def test_worker_killed_mid_message_does_not_stall_the_others(
+            self, tmp_path):
+        # Every pipe write takes 30 ms and the poison cell's self-SIGKILL
+        # lands 10 ms after it is asked for, so the crashing worker dies
+        # while still writing its "claim" message.  A write lock shared
+        # by all workers would stay held by the dead one and stall the
+        # run for good.
+        script = (
+            "import os, sys, time\n"
+            "from multiprocessing import connection\n"
+            "send = connection.Connection._send_bytes\n"
+            "def slow_send(self, buf):\n"
+            "    time.sleep(0.03)\n"
+            "    return send(self, buf)\n"
+            "connection.Connection._send_bytes = slow_send\n"
+            "kill = os.kill\n"
+            "def late_kill(pid, sig):\n"
+            "    time.sleep(0.01)\n"
+            "    kill(pid, sig)\n"
+            "os.kill = late_kill\n"
+            "from repro.campaign import (\n"
+            "    FaultPlan, FaultSpec, calibration_campaign, run_campaign)\n"
+            "from repro.campaign.fabric import faults\n"
+            "tmp = sys.argv[1]\n"
+            "spec = calibration_campaign(cells=4, spin_ms=5.0, name='mid')\n"
+            "target = sorted(c.cell_id for c in spec.expand())[0]\n"
+            "faults.activate(FaultPlan(chaos_seed=0, specs=(FaultSpec(\n"
+            "    'cell.crash', cell_id=target, times=99),),\n"
+            "    state_dir=os.path.join(tmp, 'state')),\n"
+            "    os.path.join(tmp, 'plan.json'))\n"
+            "summary = run_campaign(spec, os.path.join(tmp, 'store.jsonl'),\n"
+            "    workers=2, max_attempts=10, poison_threshold=2,\n"
+            "    backoff_base_s=0.01, backoff_cap_s=0.05)\n"
+            "print(summary.executed, summary.quarantined)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=_subprocess_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["4", "1"]
+        assert len(_ok_content(str(tmp_path / "store.jsonl"))) == 3
+
 
 class TestQuarantineSurvivesKillResume:
     def _poison_run(self, tmp_path, spec, store_path):

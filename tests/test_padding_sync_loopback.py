@@ -359,6 +359,18 @@ class TestAudioAlignment:
         with pytest.raises(AnalysisError):
             find_audio_offset(np.array([]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["reference", "recorded"])
+    def test_non_finite_rejected(self, bad, side):
+        # argmax stops at the first NaN, so a NaN in the correlation
+        # used to return the most negative lag instead of failing.
+        speech = SpeechLikeSource().read_duration(0, 0.5)[:4000]
+        spoiled = speech.copy()
+        spoiled[1234] = bad
+        args = (spoiled, speech) if side == "reference" else (speech, spoiled)
+        with pytest.raises(AnalysisError, match="non-finite"):
+            find_audio_offset(*args)
+
 
 class TestLoudness:
     def test_normalized_loudness_hits_target(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.postprocess import score_recorded_audio
 from repro.errors import AnalysisError
 from repro.media.audio import SpeechLikeSource
 from repro.media.audio_codec import AudioCodec, AudioCodecConfig, AudioDecoder
@@ -27,6 +28,21 @@ class TestSpectrogram:
     def test_too_short_rejected(self):
         with pytest.raises(AnalysisError):
             spectrogram(np.zeros(100))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, speech, bad):
+        spoiled = speech.copy()
+        spoiled[5000] = bad
+        with pytest.raises(AnalysisError, match="non-finite"):
+            spectrogram(spoiled)
+
+    def test_normalised_to_its_own_peak(self, speech):
+        # Not anchored to any reference: every spectrogram peaks at 1.0,
+        # the level drops out, and an all-zero input sits at its own
+        # (floored) peak.
+        assert spectrogram(1e-3 * speech).max() == 1.0
+        assert np.allclose(spectrogram(speech), spectrogram(0.5 * speech))
+        assert np.all(spectrogram(np.zeros(2048)) == 1.0)
 
 
 class TestNsim:
@@ -92,3 +108,17 @@ class TestMosLqo:
 
     def test_score_bounds(self, speech):
         assert 1.0 <= mos_lqo(speech, np.zeros_like(speech)) <= 5.0
+
+    def test_level_does_not_matter(self, speech):
+        # Each side is normalised to its own peak.
+        assert mos_lqo(speech, 1e-3 * speech) > 4.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_degraded_fails_loudly(self, speech, bad):
+        # One bad sample used to turn the score into NaN.
+        spoiled = speech.copy()
+        spoiled[5000] = bad
+        with pytest.raises(AnalysisError, match="non-finite"):
+            mos_lqo(speech, spoiled)
+        with pytest.raises(AnalysisError, match="non-finite"):
+            score_recorded_audio(speech, spoiled)
