@@ -238,14 +238,12 @@ class SessionArtifacts:
 
     def _media_rate(self, capture: Capture, direction: Direction) -> float:
         start, end = self.media_window
-        records = [
-            r
-            for r in capture.filter(direction=direction, kinds=MEDIA_KINDS)
-            if start <= r.timestamp <= end
-        ]
-        if not records:
+        timestamps, payloads, _, _ = capture._columns()
+        mask = capture._select(direction, MEDIA_KINDS)
+        mask &= (timestamps >= start) & (timestamps <= end)
+        if not mask.any():
             raise MeasurementError("no media packets in the rate window")
-        total = sum(r.payload_bytes for r in records)
+        total = int(payloads[mask].sum())
         return total * 8.0 / (end - start)
 
     def rate_summary(self) -> RateSummary:

@@ -15,14 +15,19 @@ rather than an object per packet: ``record`` appends one flat tuple to
 the row store -- no :class:`CapturedPacket` is allocated while the
 simulation runs -- and the numeric columns (timestamps, sizes,
 direction and kind codes) are extracted into cached numpy arrays the
-first time a query needs them.  :class:`CapturedPacket` views are
-materialised lazily, only for the records a query actually returns.
+first time a query needs them.  The session readouts run on those
+columns and rows without per-packet objects: rates are masked column
+sums, and endpoint discovery dedupes plain ``(ip, port, proto)`` tuples
+before building one :class:`EndpointKey` per distinct endpoint.
+:class:`CapturedPacket` views exist only for :meth:`Capture.filter`,
+iteration and indexing, materialised lazily for the records returned.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -49,6 +54,7 @@ _PROTO, _KIND, _WIRE, _PAYLOAD, _FLOW, _PACKET_ID = range(4, 10)
 
 _DIRECTION_CODE = {Direction.OUT: 0, Direction.IN: 1}
 _KIND_CODE = {kind: i for i, kind in enumerate(PacketKind)}
+_MEDIA_KINDS = (PacketKind.MEDIA_VIDEO, PacketKind.MEDIA_AUDIO)
 
 
 @dataclass(frozen=True)
@@ -247,9 +253,11 @@ class Capture:
                 continue
             if flow_id is not None and row[_FLOW] != flow_id:
                 continue
+            if remote_port is not None:
+                remote = row[_DST] if row[_DIRECTION] is Direction.OUT else row[_SRC]
+                if remote.port != remote_port:
+                    continue
             record = materialise(row)
-            if remote_port is not None and record.remote_endpoint.port != remote_port:
-                continue
             if predicate is not None and not predicate(record):
                 continue
             result.append(record)
@@ -356,19 +364,23 @@ class Capture:
         how many distinct streaming endpoints a client encounters over
         sessions (Section 4.2's 20 / 19.5 / 1.8 finding).
         """
-        media_kinds = {PacketKind.MEDIA_VIDEO, PacketKind.MEDIA_AUDIO}
-        found: Set[EndpointKey] = set()
-        for row in self._rows:
-            if direction is not None and row[_DIRECTION] is not direction:
+        kinds = _MEDIA_KINDS if media_only else None
+        # Dedupe plain (ip, port, proto) tuples first and build one
+        # EndpointKey per distinct endpoint: every packet carries its
+        # own Address objects, so keying on them (or building a key per
+        # row) would hash a dataclass per packet.
+        distinct: Set[tuple] = set()
+        for side, remote_field in ((Direction.OUT, _DST), (Direction.IN, _SRC)):
+            if direction is not None and direction is not side:
                 continue
-            if media_only and row[_KIND] not in media_kinds:
-                continue
-            remote = row[_DST] if row[_DIRECTION] is Direction.OUT else row[_SRC]
-            endpoint = EndpointKey(remote.ip, remote.port, row[_PROTO].value)
-            if port is not None and endpoint.port != port:
-                continue
-            found.add(endpoint)
-        return found
+            for row in compress(self._rows, self._select(side, kinds).tolist()):
+                remote = row[remote_field]
+                distinct.add((remote.ip, remote.port, row[_PROTO]))
+        return {
+            EndpointKey(ip, remote_port, proto.value)
+            for ip, remote_port, proto in distinct
+            if port is None or remote_port == port
+        }
 
     def span(self) -> Tuple[float, float]:
         """(first, last) record timestamps.
