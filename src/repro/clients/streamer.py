@@ -18,12 +18,18 @@ way.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from collections import deque
+from typing import Deque, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import SessionError
-from ..media.audio_codec import AudioCodec, AudioCodecConfig, FRAME_DURATION_S
+from ..media.audio_codec import (
+    AudioCodec,
+    AudioCodecConfig,
+    EncodedAudioFrame,
+    FRAME_DURATION_S,
+)
 from ..media.frames import FrameSpec
 from ..media.padding import resize_frame
 from ..media.transport import fragment_frame
@@ -43,6 +49,10 @@ LOW_LAYER_SCALE = 0.5
 
 #: Audio frames encoded per scheduling tick (keeps event counts sane).
 AUDIO_FRAMES_PER_TICK = 5
+
+#: Ticks the audio sender encodes ahead in one codec call (1 s of
+#: frames): one DCT and one quantiser fit per window, not per tick.
+AUDIO_LOOKAHEAD_TICKS = 10
 
 #: Pixel throughput of the paper's feeds (640x480 at 30 fps).  When
 #: wire-rate normalisation is on, the codec encodes at a bitrate scaled
@@ -388,7 +398,14 @@ class ModelVideoStreamer(_SenderBase):
 
 
 class AudioStreamer(_SenderBase):
-    """Codec-backed audio sender (20 ms frames, constant bitrate)."""
+    """Codec-backed audio sender (20 ms frames, constant bitrate).
+
+    Frames are encoded up to :data:`AUDIO_LOOKAHEAD_TICKS` ticks ahead
+    in one codec call and emitted tick by tick.  Each future tick's
+    microphone window is read exactly as that tick would read it, and
+    the codec's DCT rows and quantiser fits are per frame, so the
+    frames equal a per-tick encode's bit for bit.
+    """
 
     def __init__(
         self,
@@ -403,6 +420,11 @@ class AudioStreamer(_SenderBase):
         self._start_time = 0.0
         self._ticker = None
         self.frames_sent = 0
+        # Grid index (in frames) of the first tick not yet encoded; the
+        # streamer keeps it because the first tick runs inside
+        # ``schedule_periodic``, before ``_ticker`` is assigned.
+        self._grid_index = 0
+        self._encoded_ahead: Deque[List[EncodedAudioFrame]] = deque()
 
     def start(self, duration_s: float, start_delay_s: float = 0.0) -> None:
         """Begin streaming for ``duration_s`` seconds."""
@@ -419,23 +441,48 @@ class AudioStreamer(_SenderBase):
             index_step=AUDIO_FRAMES_PER_TICK,
         )
 
+    def _encode_ahead(self) -> None:
+        """Encode the frames of the next window of ticks in one call.
+
+        Tick ``k`` fires at ``start + index_k * FRAME_DURATION_S`` --
+        the periodic task's own float expression -- so reading the
+        microphone at that time minus the start reads exactly the
+        window the tick would read.  The window stops at the first
+        tick that would find the stream stopped, so no sample, frame
+        or codec index is produced that the tick loop would not
+        produce.
+        """
+        frame_samples = self.codec.config.frame_samples
+        windows = []
+        index = self._grid_index
+        for _ in range(AUDIO_LOOKAHEAD_TICKS):
+            tick_time = self._start_time + index * FRAME_DURATION_S
+            if not tick_time < self._stop_at:
+                break
+            samples = self.client.microphone.read_at(
+                tick_time - self._start_time,
+                AUDIO_FRAMES_PER_TICK * FRAME_DURATION_S,
+            )
+            # A trailing partial frame is dropped, as a per-tick
+            # encode drops it.
+            windows.append(samples[: len(samples) - len(samples) % frame_samples])
+            index += AUDIO_FRAMES_PER_TICK
+        self._grid_index = index
+        encoded = self.codec.encode(np.concatenate(windows))
+        offset = 0
+        for window in windows:
+            count = len(window) // frame_samples
+            self._encoded_ahead.append(encoded[offset : offset + count])
+            offset += count
+
     def _tick(self) -> "bool | None":
         if not self._running():
             return False
-        now = self.simulator.now
-        stream_time = now - self._start_time
-        batch = self.client.microphone.read_at(
-            stream_time, AUDIO_FRAMES_PER_TICK * FRAME_DURATION_S
-        )
-        flow_id = self.wiring.audio_flow(self.client.name)
-        frame_samples = self.codec.config.frame_samples
-        # One batched encode per tick: a single DCT + quantiser fit
-        # over the tick's whole frame matrix (any trailing partial
-        # frame is dropped, exactly as the per-frame loop broke early).
-        usable = (len(batch) // frame_samples) * frame_samples
-        encoded_frames = list(self.codec.encode(batch[:usable]))
+        if not self._encoded_ahead:
+            self._encode_ahead()
+        encoded_frames = self._encoded_ahead.popleft()
         self._emit_paced(
-            flow_id,
+            self.wiring.audio_flow(self.client.name),
             PacketKind.MEDIA_AUDIO,
             [encoded.size_bytes for encoded in encoded_frames],
             encoded_frames,

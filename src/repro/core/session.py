@@ -23,7 +23,7 @@ from ..media.audio import SpeechLikeSource
 from ..media.audio_codec import AudioCodecConfig
 from ..media.feeds import FlashFeed, HighMotionFeed, LowMotionFeed, StaticFeed
 from ..media.frames import CachedFrames, FrameSource, FrameSpec
-from ..media.padding import PaddedSource
+from ..media.padding import PaddedSource, padded_spec
 from ..media.video_codec import VideoCodecConfig
 from ..net.capture import Capture, Direction
 from ..net.dynamics import (
@@ -518,10 +518,10 @@ class MeetingSession:
     # ------------------------------------------------------------- #
 
     def _camera_spec(self) -> FrameSpec:
+        """The host camera's geometry, without building its feed."""
         spec = self.config.content_spec
         if self.config.pad_fraction > 0 and self.config.feed not in (None, "flash"):
-            content = make_feed(self.config)
-            return PaddedSource(content, self.config.pad_fraction).spec
+            return padded_spec(spec, self.config.pad_fraction)
         return spec
 
     def _setup_media(

@@ -239,6 +239,9 @@ class AudioDecoder:
     def waveform(self, total_frames: Optional[int] = None) -> np.ndarray:
         """Assemble the decoded signal, concealing missing frames.
 
+        :attr:`frames_concealed` becomes this assembly's count of
+        concealed frames, so assembling twice never double-counts.
+
         Args:
             total_frames: Length of the stream in frames; defaults to
                 the highest index received + 1.
@@ -248,22 +251,25 @@ class AudioDecoder:
         if total_frames is None:
             total_frames = self._max_index + 1
         if total_frames <= 0:
+            self.frames_concealed = 0
             return np.zeros(0, dtype=np.float64)
         out = np.zeros(total_frames * frame_samples, dtype=np.float64)
         last_good: Optional[np.ndarray] = None
         decay = 1.0
         mode = self._codec.config.concealment
+        concealed = 0
         for index in range(total_frames):
             chunk = self._frames.get(index)
             if chunk is not None:
                 last_good = chunk
                 decay = 1.0
             else:
-                self.frames_concealed += 1
+                concealed += 1
                 if mode == "repeat" and last_good is not None:
                     decay *= 0.5
                     chunk = last_good * decay
                 else:
                     chunk = np.zeros(frame_samples, dtype=np.float64)
             out[index * frame_samples : (index + 1) * frame_samples] = chunk
+        self.frames_concealed = concealed
         return out

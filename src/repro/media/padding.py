@@ -36,6 +36,15 @@ def pad_size(dimension: int, pad_fraction: float) -> int:
     return int(round(dimension * pad_fraction))
 
 
+def padded_spec(spec: FrameSpec, pad_fraction: float) -> FrameSpec:
+    """Geometry of ``spec`` frames after :func:`add_padding`."""
+    return FrameSpec(
+        width=spec.width + 2 * pad_size(spec.width, pad_fraction),
+        height=spec.height + 2 * pad_size(spec.height, pad_fraction),
+        fps=spec.fps,
+    )
+
+
 def add_padding(
     frame: np.ndarray, pad_fraction: float = DEFAULT_PAD_FRACTION
 ) -> np.ndarray:
@@ -91,14 +100,7 @@ class PaddedSource(FrameSource):
     def __init__(
         self, content: FrameSource, pad_fraction: float = DEFAULT_PAD_FRACTION
     ) -> None:
-        pad_h = pad_size(content.spec.height, pad_fraction)
-        pad_w = pad_size(content.spec.width, pad_fraction)
-        padded_spec = FrameSpec(
-            width=content.spec.width + 2 * pad_w,
-            height=content.spec.height + 2 * pad_h,
-            fps=content.spec.fps,
-        )
-        super().__init__(padded_spec, content.seed)
+        super().__init__(padded_spec(content.spec, pad_fraction), content.seed)
         self.content = content
         self.pad_fraction = pad_fraction
 

@@ -112,14 +112,23 @@ class EncodedFrame:
     size_bytes: int
 
 
-def _pad_to_blocks(frame: np.ndarray) -> np.ndarray:
-    """Edge-pad an ``(H, W)`` plane so both sides are multiples of BLOCK."""
+def _padded_plane(frame: np.ndarray) -> np.ndarray:
+    """An ``(H, W)`` frame as a float64 plane edge-padded to whole blocks.
+
+    One allocation: the frame is copied in, then its last column and
+    last row are replicated outward (the corner with them), which is
+    ``np.pad(frame.astype(np.float64), ..., mode="edge")`` without the
+    intermediate float copy.
+    """
     height, width = frame.shape
-    pad_h = (-height) % BLOCK
-    pad_w = (-width) % BLOCK
-    if pad_h == 0 and pad_w == 0:
-        return frame
-    return np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
+    plane = np.empty(
+        (height + (-height) % BLOCK, width + (-width) % BLOCK),
+        dtype=np.float64,
+    )
+    plane[:height, :width] = frame
+    plane[:height, width:] = plane[:height, width - 1 : width]
+    plane[height:] = plane[height - 1]
+    return plane
 
 
 def _block_grid(plane: np.ndarray) -> np.ndarray:
@@ -147,14 +156,15 @@ def _block_idct(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def _skip_deadzone_mask(residual: np.ndarray) -> np.ndarray:
     """Blocks whose residual peak sits inside the skip deadzone.
 
-    An ``(H, W)`` residual -> ``(by, bx)`` booleans.  The max runs
-    straight over the ``(by, 8, bx, 8)`` view (no transpose, no
-    flattened copy); a maximum is order-free, so the mask is exact.
+    An ``(H, W)`` residual -> ``(by, bx)`` booleans.  The max runs in
+    two contiguous passes -- first down each block's 8 rows, then
+    across each block's 8 columns -- instead of one pass over a
+    strided ``(by, 8, bx, 8)`` view; a maximum is order-free, so the
+    mask is exact.
     """
     height, width = residual.shape
-    peaks = np.abs(residual).reshape(
-        height // BLOCK, BLOCK, width // BLOCK, BLOCK
-    ).max(axis=(1, 3))
+    row_peaks = np.abs(residual).reshape(height // BLOCK, BLOCK, width).max(axis=1)
+    peaks = row_peaks.reshape(height // BLOCK, width // BLOCK, BLOCK).max(axis=2)
     return peaks < SKIP_DEADZONE_LUMA
 
 
@@ -203,12 +213,27 @@ def _residual_plane_sparse(
     content under rate caps leaves most blocks empty, which is where
     the encode/decode loops spend their transform time.
     """
-    occupied = levels.any(axis=(-2, -1))
+    occupied = np.nonzero(levels.any(axis=(-2, -1)))
+    return _residual_from_blocks(levels[occupied], occupied, q_step, shape)
+
+
+def _residual_from_blocks(
+    blocks: np.ndarray,
+    where: tuple[np.ndarray, np.ndarray],
+    q_step: np.float64,
+    shape: tuple[int, int],
+) -> np.ndarray:
+    """An ``(H, W)`` residual from ``(K, 8, 8)`` occupied blocks.
+
+    ``where`` holds the blocks' (row, column) positions on the block
+    grid; every other block is left an exact zero.
+    """
     residual = np.zeros(shape, dtype=np.float64)
-    if occupied.any():
-        coeffs = levels[occupied] * (q_step * QUANT_WEIGHTS)
-        blocks = sp_fft.idctn(coeffs, axes=(-2, -1), norm="ortho")
-        _block_grid(residual)[occupied] = blocks
+    if len(blocks):
+        coeffs = blocks * (q_step * QUANT_WEIGHTS)
+        _block_grid(residual)[where] = sp_fft.idctn(
+            coeffs, axes=(-2, -1), norm="ortho"
+        )
     return residual
 
 
@@ -353,8 +378,7 @@ class VideoCodec:
             )
         keyframe = self._next_is_keyframe()
         self._force_keyframe = False
-        plane = _pad_to_blocks(frame.astype(np.float64))
-        return self._encode_plane(plane, frame.shape, keyframe)
+        return self._encode_plane(_padded_plane(frame), frame.shape, keyframe)
 
     def encode_batch(
         self, frames: Union[np.ndarray, Sequence[np.ndarray]]
@@ -379,12 +403,14 @@ class VideoCodec:
         index = self._frame_index
         q_step = self.rate_controller.q_step
         divisor = q_step * QUANT_WEIGHTS
+        by, bx = plane.shape[0] // BLOCK, plane.shape[1] // BLOCK
         if keyframe:
             # Fresh transform output, so quantise it in place.
             coeffs = _block_dct(plane - 128.0)
             np.divide(coeffs, divisor, out=coeffs)
             np.round(coeffs, out=coeffs)
-            levels = coeffs.astype(np.int32)
+            blocks = coeffs.astype(np.int32).reshape(by * bx, BLOCK * BLOCK)
+            coded_ids = None
         else:
             # Skip deadzone: blocks whose residual is within a luma
             # step of zero carry no signal, only quantisation noise
@@ -394,26 +420,31 @@ class VideoCodec:
             # masked blocks' coefficients are never consumed -- gather
             # only the live blocks into one stacked transform.
             residual = plane - self._reference
-            keep = ~_skip_deadzone_mask(residual)
-            levels = np.zeros(
-                (keep.shape[0], keep.shape[1], BLOCK, BLOCK), dtype=np.int32
-            )
-            if keep.any():
+            coded = ~_skip_deadzone_mask(residual)
+            coded_ids = np.flatnonzero(coded)
+            blocks = np.zeros((0, BLOCK * BLOCK), dtype=np.int32)
+            if len(coded_ids):
                 coeffs = sp_fft.dctn(
-                    _block_grid(residual)[keep], axes=(-2, -1), norm="ortho"
+                    _block_grid(residual)[coded], axes=(-2, -1), norm="ortho"
                 )
                 np.divide(coeffs, divisor, out=coeffs)
                 np.round(coeffs, out=coeffs)
-                levels[keep] = coeffs.astype(np.int32)
+                blocks = coeffs.astype(np.int32).reshape(-1, BLOCK * BLOCK)
 
-        flat = levels.reshape(-1)
-        nonzero = np.nonzero(flat)[0]
-        values = flat[nonzero].astype(np.int16)
-        num_blocks = levels.shape[0] * levels.shape[1]
-        occupied = int(
-            levels.reshape(num_blocks, BLOCK * BLOCK).any(axis=-1).sum()
-        )
-        size_bytes = _estimate_bits(values, num_blocks, occupied)
+        # One occupancy pass over the coded blocks feeds the sparse
+        # extraction, the size estimate and the reconstruction.  Block
+        # ids ascend and each block's 64 levels are contiguous in the
+        # (by, bx, 8, 8) layout, so the flat indices ascend as a
+        # nonzero over the whole plane would return them.
+        occupied = blocks.any(axis=-1)
+        block_ids = np.flatnonzero(occupied)
+        if coded_ids is not None:
+            block_ids = coded_ids[block_ids]
+        blocks = blocks[occupied]
+        which, offsets = np.nonzero(blocks)
+        nonzero = block_ids[which] * (BLOCK * BLOCK) + offsets
+        values = blocks[which, offsets].astype(np.int16)
+        size_bytes = _estimate_bits(values, by * bx, len(block_ids))
 
         encoded = EncodedFrame(
             index=index,
@@ -433,8 +464,11 @@ class VideoCodec:
         # inter frame reconstructs to the reference unchanged (zero
         # residual into an already-clamped plane) -- no transform.
         if not (values.size == 0 and not keyframe):
-            residual_rec = _residual_plane_sparse(
-                levels.astype(np.int16), np.float64(q_step), encoded.shape
+            residual_rec = _residual_from_blocks(
+                blocks.astype(np.int16).reshape(-1, BLOCK, BLOCK),
+                np.divmod(block_ids, bx),
+                np.float64(q_step),
+                encoded.shape,
             )
             self._reference = _apply_prediction(
                 residual_rec, keyframe, self._reference

@@ -213,6 +213,16 @@ class TestConcealment:
         assert not segment.any()
         assert decoder.frames_concealed == 1
 
+    def test_concealed_count_stable_across_assemblies(self):
+        """Each assembly reports its own count; a second never adds."""
+        out, decoder = self._lossy_waveform("repeat", {5, 6, 11})
+        assert decoder.frames_concealed == 3
+        again = decoder.waveform(len(out) // AudioCodecConfig().frame_samples)
+        assert np.array_equal(again, out)
+        assert decoder.frames_concealed == 3
+        decoder.waveform(3)  # a shorter window holds no gap
+        assert decoder.frames_concealed == 0
+
     def test_repeat_fills_decaying_copy(self):
         out, _ = self._lossy_waveform("repeat", {5})
         frame_samples = AudioCodecConfig().frame_samples

@@ -38,12 +38,19 @@ from repro.media.frames import FrameSpec
 from repro.media.padding import resize_frames
 from repro.media.video_codec import (
     BLOCK,
+    QUANT_WEIGHTS,
+    SKIP_DEADZONE_LUMA,
+    EncodedFrame,
     VideoCodec,
     VideoCodecConfig,
     VideoDecoder,
+    _apply_prediction,
     _block_dct,
+    _block_grid,
     _block_idct,
     _estimate_bits,
+    _padded_plane,
+    _residual_plane_sparse,
     _skip_deadzone_mask,
 )
 
@@ -674,6 +681,153 @@ class TestDeferredRecorder:
         with pytest.raises(ValueError):
             frames[tick][0, 0] = 255 - frames[tick][0, 0]
         assert np.array_equal(frames[tick - 1], before)
+
+
+def _reference_deadzone_mask(residual):
+    """Block peaks through a transposed, flattened copy of each block."""
+    by, bx = residual.shape[0] // BLOCK, residual.shape[1] // BLOCK
+    return np.abs(residual).reshape(by, BLOCK, bx, BLOCK).transpose(
+        0, 2, 1, 3
+    ).reshape(by, bx, -1).max(axis=-1) < SKIP_DEADZONE_LUMA
+
+
+class _DenseReferenceCodec(VideoCodec):
+    """Encoder that scatters every frame's levels into a dense plane.
+
+    Sparse extraction is one ``nonzero`` over the whole level plane,
+    occupancy is counted on it, and the closed-loop reconstruction
+    re-derives the occupied blocks from its int16 copy.
+    """
+
+    def encode(self, frame):
+        keyframe = self._next_is_keyframe()
+        self._force_keyframe = False
+        pad = ((0, (-frame.shape[0]) % BLOCK), (0, (-frame.shape[1]) % BLOCK))
+        plane = np.pad(frame.astype(np.float64), pad, mode="edge")
+        return self._encode_plane(plane, frame.shape, keyframe)
+
+    def _encode_plane(self, plane, crop, keyframe):
+        q_step = self.rate_controller.q_step
+        divisor = q_step * QUANT_WEIGHTS
+        if keyframe:
+            coeffs = _block_dct(plane - 128.0)
+            levels = np.round(coeffs / divisor).astype(np.int32)
+        else:
+            residual = plane - self._reference
+            keep = ~_reference_deadzone_mask(residual)
+            levels = np.zeros(keep.shape + (BLOCK, BLOCK), dtype=np.int32)
+            if keep.any():
+                coeffs = sp_fft.dctn(
+                    _block_grid(residual)[keep], axes=(-2, -1), norm="ortho"
+                )
+                levels[keep] = np.round(coeffs / divisor).astype(np.int32)
+        flat = levels.reshape(-1)
+        nonzero = np.nonzero(flat)[0]
+        values = flat[nonzero].astype(np.int16)
+        num_blocks = levels.shape[0] * levels.shape[1]
+        occupied = int(
+            levels.reshape(num_blocks, BLOCK * BLOCK).any(axis=-1).sum()
+        )
+        size_bytes = _estimate_bits(values, num_blocks, occupied)
+        encoded = EncodedFrame(
+            index=self._frame_index, keyframe=keyframe, q_step=q_step,
+            shape=plane.shape, crop=crop, indices=nonzero.astype(np.int32),
+            values=values, size_bytes=size_bytes,
+        )
+        if not (values.size == 0 and not keyframe):
+            residual_rec = _residual_plane_sparse(
+                levels.astype(np.int16), np.float64(q_step), encoded.shape
+            )
+            self._reference = _apply_prediction(
+                residual_rec, keyframe, self._reference
+            )
+        self._frame_index += 1
+        self.rate_controller.update(size_bytes * 8.0, keyframe)
+        return encoded
+
+
+_FEEDS = {"low": LowMotionFeed, "high": HighMotionFeed, "static": StaticFeed}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width=st.integers(min_value=16, max_value=90),
+    height=st.integers(min_value=16, max_value=70),
+    feed=st.sampled_from(sorted(_FEEDS)),
+    gop=st.integers(min_value=1, max_value=12),
+    rate=st.floats(min_value=20_000.0, max_value=2_000_000.0),
+    count=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_video_encode_matches_dense_reference(
+    width, height, feed, gop, rate, count, seed
+):
+    """Block-sparse extraction, padding and deadzone equal the dense
+    formulation frame by frame, closed-loop reference included."""
+    spec = FrameSpec(width, height, 10)
+    config = VideoCodecConfig(gop_size=gop)
+    codec = VideoCodec(spec, config, target_bps=rate)
+    reference = _DenseReferenceCodec(spec, config, target_bps=rate)
+    for frame in _FEEDS[feed](spec, seed=seed).frames(count):
+        got, want = codec.encode(frame), reference.encode(frame)
+        assert (got.index, got.keyframe, got.q_step, got.shape, got.crop,
+                got.size_bytes) == (want.index, want.keyframe, want.q_step,
+                                    want.shape, want.crop, want.size_bytes)
+        assert got.indices.dtype == want.indices.dtype
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(codec._reference, reference._reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    height=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=40),
+    dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_padded_plane_matches_edge_pad(height, width, dtype, seed):
+    frame = np.random.default_rng(seed).integers(
+        0, 256, size=(height, width)
+    ).astype(dtype)
+    pad = ((0, (-height) % BLOCK), (0, (-width) % BLOCK))
+    want = np.pad(frame.astype(np.float64), pad, mode="edge")
+    got = _padded_plane(frame)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 9), (8, 8), (156, 208),
+                                   (144, 192), (75, 100)])
+def test_padded_plane_named_shapes(shape):
+    frame = np.random.default_rng(0).integers(0, 256, size=shape,
+                                              dtype=np.uint8)
+    pad = ((0, (-shape[0]) % BLOCK), (0, (-shape[1]) % BLOCK))
+    assert np.array_equal(
+        _padded_plane(frame),
+        np.pad(frame.astype(np.float64), pad, mode="edge"),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    by=st.integers(min_value=1, max_value=12),
+    bx=st.integers(min_value=1, max_value=12),
+    spread=st.floats(min_value=0.0, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_skip_deadzone_mask_matches_reference(by, bx, spread, seed):
+    """Values straddle the deadzone edge, exact ties included."""
+    rng = np.random.default_rng(seed)
+    shape = (by * BLOCK, bx * BLOCK)
+    residual = SKIP_DEADZONE_LUMA + rng.normal(0.0, spread, size=shape)
+    residual *= rng.choice([-1.0, 1.0], size=shape)
+    residual[rng.random(shape) < 0.05] = SKIP_DEADZONE_LUMA
+    residual[rng.random(shape) < 0.5] *= 0.5
+    assert np.array_equal(
+        _skip_deadzone_mask(residual), _reference_deadzone_mask(residual)
+    )
 
 
 class TestBlockKernelProperties:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.probing import Prober
 from repro.core.session import MeetingSession, SessionConfig, make_feed
+from repro.media.padding import PaddedSource
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.errors import ConfigurationError, MeasurementError, SessionError
 from repro.media.feeds import FlashFeed, HighMotionFeed, LowMotionFeed, StaticFeed
@@ -155,6 +156,31 @@ class TestSessionRun:
             "zoom", ["US-East", "US-West"], "US-East", quick_config()
         )
         assert artifacts.wiring.p2p
+
+    @pytest.mark.parametrize("feed", ["low", "high", "static", "flash"])
+    @pytest.mark.parametrize("pad_fraction", [0.0, 0.1, 0.15, 0.27, 0.49])
+    @pytest.mark.parametrize(
+        "content_spec",
+        [FrameSpec(192, 144, 15), FrameSpec(17, 23, 5), FrameSpec(640, 480, 30)],
+    )
+    def test_camera_spec_matches_padded_feed(
+        self, three_vms, feed, pad_fraction, content_spec
+    ):
+        """The camera geometry is derived without building the feed,
+        and equals what the padded feed reports."""
+        config = quick_config(feed=feed, pad_fraction=pad_fraction,
+                              content_spec=content_spec)
+        session = MeetingSession(
+            three_vms.platform("zoom"),
+            [three_vms.clients["US-East"], three_vms.clients["US-West"]],
+            "US-East",
+            config,
+        )
+        if pad_fraction > 0 and feed != "flash":
+            want = PaddedSource(make_feed(config), pad_fraction).spec
+        else:
+            want = make_feed(config).spec
+        assert session._camera_spec() == want
 
     def test_host_must_be_member(self, three_vms):
         with pytest.raises(SessionError):
