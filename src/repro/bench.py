@@ -14,14 +14,20 @@ Two kinds of numbers are reported:
   session wall-clock) -- comparable across commits *on one machine*,
 * **speedup ratios measured within one process** (fused packet path
   vs the forced slow path; raw cell loop vs scheduled and stored
-  cells, same seed) -- comparable across machines, which is what the
-  CI regression gate checks: hardware noise cancels out of a ratio,
-  while "the fast lane silently stopped engaging" does not.
+  cells, same seed) -- reported for the trajectory.
+
+The CI regression gate checks what is exact: the packet path's event
+counts per packet on both lanes and its fused fraction, which change
+only when the fast lane stops engaging (or the slow lane starts to),
+never with machine load.  The fast-vs-slow speedup is not gated: both
+lanes run the same per-packet code, so a change that trims it moves
+the ratio either way, and on a shared machine it spreads across the
+floor on unchanged code.
 
 Run via ``python -m repro bench`` (or ``benchmarks/run_bench.py``);
 ``--quick`` shrinks every workload for CI, ``--check`` compares the
-fresh run against a committed baseline and exits non-zero on a >20%
-packet-path regression.
+fresh run against a committed baseline and exits non-zero on a
+regression.
 """
 
 from __future__ import annotations
@@ -41,10 +47,15 @@ from .net.packet import Packet, PacketKind
 from .net.routing import Network
 from .net.simulator import Simulator
 
-#: Relative packet-path regression tolerated by ``--check`` before the
-#: gate fails (generous: CI machines are shared and noisy; the ratio
-#: metric is already hardware-independent).
+#: Relative fabric-efficiency regression tolerated by ``--check``
+#: before the gate fails (generous: CI machines are shared and noisy).
 CHECK_TOLERANCE = 0.20
+
+#: Packet-path counters ``--check`` holds equal to the baseline.  They
+#: are deterministic: a fused packet costs 2.0 events, a slow one 4.0.
+EXACT_PACKET_PATH_METRICS = (
+    "events_per_packet", "slow_events_per_packet", "fused_fraction",
+)
 
 
 @dataclass
@@ -130,8 +141,8 @@ def _packet_path_once(packets: int, fast_lane: bool) -> Dict[str, float]:
 
 
 def bench_packet_path(profile: BenchProfile) -> Dict[str, float]:
-    # Best-of-3 each way: the speedup ratio gates CI, so one GC pause
-    # or noisy neighbour during a single run must not fail the build.
+    # Best-of-3 each way, so one GC pause or noisy neighbour during a
+    # single run does not swing the reported speedup ratio.
     fast = min(
         (_packet_path_once(profile.packet_count, fast_lane=True)
          for _ in range(3)),
@@ -441,34 +452,32 @@ def check_against_baseline(
 ) -> "list[str]":
     """Regression gate: compare a fresh run to a committed baseline.
 
-    Only hardware-independent metrics are gated: the packet-path
-    fast-vs-slow speedup ratio, the events-per-packet budget, and the
-    fabric's ``inline_efficiency`` (same process, same seed, so
-    hardware noise cancels).  The fabric gate only engages when the
-    baseline records it (``BENCH_pr6.json`` onward); a gated metric
-    that the fresh run's benchmark does not report fails.  Returns a
-    list of failure messages (empty = pass).
+    The packet path's exact counters (:data:`EXACT_PACKET_PATH_METRICS`)
+    must equal the baseline's; the wall-clock ``speedup_vs_slow`` is
+    reported but not gated.  The fabric's ``inline_efficiency`` (same
+    process, same seed) is gated with a tolerance.  A metric the
+    baseline does not record is not gated; a gated metric that the
+    fresh run does not report fails by name.  Returns a list of
+    failure messages (empty = pass).
     """
     failures = []
     fresh_pp = fresh.get("benchmarks", {}).get("packet_path")
     base_pp = baseline.get("benchmarks", {}).get("packet_path")
     if fresh_pp is None or base_pp is None:
         return ["baseline or fresh run is missing the packet_path benchmark"]
-    floor = base_pp["speedup_vs_slow"] * (1.0 - tolerance)
-    if fresh_pp["speedup_vs_slow"] < floor:
-        failures.append(
-            "packet-path fast-lane speedup regressed: "
-            f"{fresh_pp['speedup_vs_slow']:.2f}x vs baseline "
-            f"{base_pp['speedup_vs_slow']:.2f}x (floor {floor:.2f}x)"
-        )
-    if fresh_pp["events_per_packet"] > base_pp["events_per_packet"] * (
-        1.0 + tolerance
-    ):
-        failures.append(
-            "packet-path event budget regressed: "
-            f"{fresh_pp['events_per_packet']:.2f} events/packet vs "
-            f"baseline {base_pp['events_per_packet']:.2f}"
-        )
+    for key in EXACT_PACKET_PATH_METRICS:
+        if key not in base_pp:
+            continue
+        if key not in fresh_pp:
+            failures.append(
+                f"packet path: fresh run has no {key!r} metric "
+                "(the baseline gates it)"
+            )
+        elif fresh_pp[key] != base_pp[key]:
+            failures.append(
+                f"packet-path {key} changed: {fresh_pp[key]} vs "
+                f"baseline {base_pp[key]}"
+            )
     # inline_efficiency (raw cell loop vs scheduled+stored cells)
     # hovers near parity, so it gets doubled tolerance and its
     # baseline is capped at 1.0 -- a lucky fast baseline run must not

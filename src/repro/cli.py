@@ -603,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("-o", "--out", default=None,
                        help="write the JSON payload here")
     bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="fail if the packet path regressed vs a "
+                       help="fail if the packet-path counters or the "
+                            "fabric efficiency regressed vs a "
                             "committed BENCH_*.json")
     bench.add_argument("--tolerance", type=float, default=CHECK_TOLERANCE)
     bench.set_defaults(func=cmd_bench)

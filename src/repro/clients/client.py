@@ -55,7 +55,9 @@ class BaseClient:
         self.camera: Optional[VirtualCamera] = None
         self.microphone: Optional[VirtualMicrophone] = None
         self._feedback_sinks: List[Callable[[str, float], None]] = []
-        host.bind(MEDIA_PORT, self._on_packet)
+        # The host's ip and the media port never change: every emitted
+        # packet shares this one address.
+        self._media_address = host.bind(MEDIA_PORT, self._on_packet)
 
     def attach_camera(self, feed: FrameSource) -> VirtualCamera:
         """Load a video feed into the client's loopback camera."""
@@ -70,7 +72,7 @@ class BaseClient:
     @property
     def media_address(self) -> Address:
         """Where this client receives media."""
-        return self.host.address(MEDIA_PORT)
+        return self._media_address
 
     @property
     def service_address(self) -> Address:

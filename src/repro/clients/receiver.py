@@ -161,7 +161,9 @@ class ReceiverEngine:
 
     def on_media(self, packet: Packet) -> None:
         """Entry point from the client's port handler."""
-        stats = self.flow_stats.setdefault(packet.flow_id, FlowStats())
+        stats = self.flow_stats.get(packet.flow_id)
+        if stats is None:
+            stats = self.flow_stats[packet.flow_id] = FlowStats()
         seq = packet.seq
         if seq is None:
             # Legacy senders stamped the sequence into metadata; media

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import MeasurementError
-from ..net.address import EndpointKey
+from ..net.address import Address, EndpointKey
 from ..net.node import Host
 from ..net.packet import Packet, PacketKind
 from ..units import to_ms
@@ -93,19 +93,22 @@ class Prober:
             raise MeasurementError("probe interval must be positive")
         result = self._results.setdefault(endpoint, ProbeResult(endpoint))
         simulator = self._host.network.simulator
+        # One destination address shared by the whole probe train.
+        destination = endpoint.address
         for i in range(count):
             simulator.schedule(
-                start_delay_s + i * interval_s, self._send_probe, endpoint
+                start_delay_s + i * interval_s, self._send_probe, endpoint,
+                destination,
             )
         return result
 
-    def _send_probe(self, endpoint: EndpointKey) -> None:
+    def _send_probe(self, endpoint: EndpointKey, destination: Address) -> None:
         probe_id = next(_probe_ids)
         result = self._results[endpoint]
         result.sent += 1
         packet = Packet(
             src=self._address,
-            dst=endpoint.address,
+            dst=destination,
             payload_bytes=20,
             kind=PacketKind.PROBE,
             flow_id=f"probe-{self._host.name}",

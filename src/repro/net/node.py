@@ -130,7 +130,9 @@ class Host:
                 f"{self.name} cannot send packet with src {packet.src.ip}"
             )
         network = self._network
-        now = network.simulator.now
+        # ``_now`` directly: the packet path reads the clock inside the
+        # ``net`` package without the property call.
+        now = network.simulator._now
         packet.sent_at = now
         self.packets_sent += 1
         if self._captures:
@@ -143,7 +145,7 @@ class Host:
         """Called by the fabric when a packet arrives for this host."""
         self.packets_received += 1
         if self._captures:
-            local = self.clock.local_time(self._network.simulator.now)
+            local = self.clock.local_time(self._network.simulator._now)
             for capture in self._captures:
                 capture.record(packet, Direction.IN, local)
         handler = self._handlers.get(packet.dst.port)

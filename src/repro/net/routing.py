@@ -189,37 +189,19 @@ class Network:
             self._path_cache[key] = cached
         return cached
 
-    def one_way_delay(
-        self, a: Host, b: Host, sample_jitter: bool = False
-    ) -> float:
-        """One-way wide-area delay between two hosts.
-
-        With ``sample_jitter`` a random per-packet jitter component is
-        added, drawn from a gamma distribution (always positive, long
-        tail) scaled by the latency model's jitter fraction.
+    def one_way_delay(self, a: Host, b: Host) -> float:
+        """Jitter-free one-way wide-area delay between two hosts.
 
         Scripted access conditions contribute too: each endpoint's
-        link-level latency adder extends the path, and link-level
-        jitter scales draw extra gamma components (both are exact
-        no-ops -- no rng consumed -- while the adders are zero, which
-        is what keeps static sessions bit-identical).
+        link-level latency adder extends the path.  Per-packet jitter
+        is drawn only on the packet path (:meth:`_propagate`).
         """
-        base, scale = self._path_params(a, b)
-        base += a.link.extra_latency_s + b.link.extra_latency_s
-        if not sample_jitter:
-            return base
-        if scale > 0:
-            base += float(self.rng.gamma(shape=2.0, scale=scale / 2.0))
-        for link in (a.link, b.link):
-            if link.extra_jitter_s > 0:
-                base += float(
-                    self.rng.gamma(shape=2.0, scale=link.extra_jitter_s / 2.0)
-                )
-        return base
+        base, _scale = self._path_params(a, b)
+        return base + (a.link.extra_latency_s + b.link.extra_latency_s)
 
     def nominal_rtt(self, a: Host, b: Host) -> float:
         """Jitter-free round-trip time between two hosts."""
-        return 2.0 * self.one_way_delay(a, b, sample_jitter=False)
+        return 2.0 * self.one_way_delay(a, b)
 
     # ----------------------------------------------------------------- #
     # Transmission pipeline.
@@ -273,7 +255,7 @@ class Network:
         if destination is None:
             raise RoutingError(f"no route to {dst_ip!r}")
         simulator = self.simulator
-        now = simulator.now
+        now = simulator._now
         source_link = source.link
         departure = source_link.reserve_uplink(now, packet.wire_bytes)
         # Sender-side fusion: when the whole chain is provably
@@ -328,7 +310,7 @@ class Network:
                 delay += float(
                     rng.gamma(shape=2.0, scale=link.extra_jitter_s / 2.0)
                 )
-        now = self.simulator.now
+        now = self.simulator._now
         arrival = now + delay
         # Receiver-side fusion: no draw, no shaper, and no scripted
         # change before the packet lands -> one fused delivery event.
@@ -366,7 +348,7 @@ class Network:
         decided_change_s: float,
     ) -> None:
         link = destination.link
-        now = self.simulator.now
+        now = self.simulator._now
         delivery = entry[3]
         if delivery < 0.0:
             link.flush_pending_downlink(now)
@@ -386,7 +368,7 @@ class Network:
         destination.deliver(packet)
 
     def _arrive(self, packet: Packet, destination: Host) -> None:
-        now = self.simulator.now
+        now = self.simulator._now
         # Scripted ingress loss, checked at arrival so packets already
         # in flight when a phase flips are dropped by the new regime.
         if (

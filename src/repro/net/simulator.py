@@ -105,18 +105,25 @@ class Simulator:
     ) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        Raises :class:`~repro.errors.SimulationError` for negative
-        delays: the simulator never travels backwards.
+        Raises :class:`~repro.errors.SimulationError` for negative or
+        NaN delays: the simulator never travels backwards.
         """
-        if delay < 0:
+        # Written as ``not >=`` so a NaN delay fails the check too.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self.schedule_at(self._now + delay, callback, *args)
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._sequence), callback, args)
+        )
 
     def schedule_at(
         self, when: float, callback: Callable[..., None], *args: Any
     ) -> None:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self._now:
+        """Schedule ``callback(*args)`` at absolute time ``when``.
+
+        A NaN ``when`` is rejected: it compares false against every
+        heap entry and would run out of time order.
+        """
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
@@ -152,11 +159,11 @@ class Simulator:
         """
         if (period is None) == (rate is None):
             raise SimulationError("pass exactly one of period or rate")
-        if period is not None and period <= 0:
+        if period is not None and not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
-        if rate is not None and rate <= 0:
+        if rate is not None and not rate > 0:
             raise SimulationError(f"rate must be positive, got {rate}")
-        if first_delay < 0:
+        if not first_delay >= 0:
             raise SimulationError(
                 f"cannot schedule in the past (first_delay={first_delay})"
             )
@@ -183,8 +190,12 @@ class Simulator:
                 most this many events run before the error fires.
 
         Raises:
-            SimulationError: If re-entered or if ``max_events`` fires.
+            SimulationError: If re-entered, if ``until`` is NaN (it
+                would compare false against every event and drain the
+                queue), or if ``max_events`` fires.
         """
+        if until is not None and until != until:
+            raise SimulationError(f"cannot run until {until}")
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
@@ -228,6 +239,6 @@ class Simulator:
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` seconds of simulated time."""
-        if duration < 0:
+        if not duration >= 0:
             raise SimulationError(f"duration must be >= 0, got {duration}")
         self.run(until=self._now + duration)

@@ -108,12 +108,14 @@ class ServiceRelay:
         self.port = port
         self.timing = timing
         self.rng = rng
-        self._routes: Dict[str, List[Tuple[Address, float]]] = {}
+        self._routes: Dict[str, Tuple[Tuple[Address, float], ...]] = {}
         self._feedback_next_hop: Dict[str, Address] = {}
         self._session_load: Dict[str, float] = {}
         self.packets_forwarded = 0
         self.probes_answered = 0
-        host.bind(port, self._handle)
+        # The host's ip and the port never change: build the service
+        # address once, so every forwarded copy shares it.
+        self._address = host.bind(port, self._handle)
 
     @classmethod
     def install(cls, host: Host, port: int, timing: RelayTiming, rng) -> "ServiceRelay":
@@ -132,7 +134,7 @@ class ServiceRelay:
     @property
     def address(self) -> Address:
         """The relay's service address."""
-        return self.host.address(self.port)
+        return self._address
 
     # ----------------------------------------------------------------- #
     # Route management (called by session wiring).
@@ -150,6 +152,9 @@ class ServiceRelay:
         flow's packets forwarded to that destination (an SFU's
         per-subscriber thinning -- how the relay delivers a lower rate
         to, e.g., a low-end phone without a separate encoding).
+        The route is stored as an immutable tuple: later changes to
+        ``destinations`` do not reach it, and packets in flight keep
+        the route they were handled with.
         """
         normalised: List[Tuple[Address, float]] = []
         for destination in destinations:
@@ -160,7 +165,7 @@ class ServiceRelay:
             if not 0.0 < fraction <= 1.0:
                 raise PlatformError(f"forward fraction out of range: {fraction}")
             normalised.append((address, fraction))
-        self._routes[flow_id] = normalised
+        self._routes[flow_id] = tuple(normalised)
 
     def register_feedback_route(self, flow_id: str, next_hop: Address) -> None:
         """Route feedback for a flow toward its sender."""
@@ -196,7 +201,7 @@ class ServiceRelay:
         if packet.kind is PacketKind.FEEDBACK:
             next_hop = self._feedback_next_hop.get(packet.flow_id)
             if next_hop is not None:
-                host.send(packet.forwarded_to(self.address, next_hop))
+                host.send(packet.forwarded_to(self._address, next_hop))
             return
         if packet.kind is PacketKind.SIGNALING:
             return  # joins/leaves are acknowledged implicitly
@@ -209,20 +214,21 @@ class ServiceRelay:
             + self._session_load.get(session_id, 0.0)
             + float(self.rng.exponential(self.timing.jitter_scale_s))
         )
-        host.network.simulator.schedule(
-            delay, self._forward, packet, list(destinations)
-        )
+        host.network.simulator.schedule(delay, self._forward, packet, destinations)
 
     def _forward(
-        self, packet: Packet, destinations: List[Tuple[Address, float]]
+        self, packet: Packet, destinations: Tuple[Tuple[Address, float], ...]
     ) -> None:
+        address = self._address
+        origin_ip = packet.src.ip
+        send = self.host.send
         for destination, fraction in destinations:
-            if destination.ip == packet.src.ip:
+            if destination.ip == origin_ip:
                 continue  # never reflect a flow back to its origin
             if fraction < 1.0 and self.rng.random() >= fraction:
                 continue  # thinned subscription
             self.packets_forwarded += 1
-            self.host.send(packet.forwarded_to(self.address, destination))
+            send(packet.forwarded_to(address, destination))
 
 
 def video_flow_id(session_id: str, sender: str, layer: StreamLayer) -> str:

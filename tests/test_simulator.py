@@ -139,3 +139,66 @@ class TestSafety:
             simulator.schedule(1.0, lambda: None)
         simulator.run()
         assert simulator.events_processed == 5
+
+
+NAN = float("nan")
+
+
+class TestNaNRejected:
+    """NaN compares false against everything, so each guard rejects it.
+
+    Regression: a NaN event time used to be accepted and ran before
+    earlier-scheduled real events, and the clock went NaN.
+    """
+
+    def test_schedule_at_nan(self):
+        simulator = Simulator()
+        seen = []
+        simulator.schedule_at(0.5, seen.append, 0.5)
+        with pytest.raises(SimulationError, match="nan"):
+            simulator.schedule_at(NAN, seen.append, "nan")
+        simulator.run()
+        assert seen == [0.5]
+        assert simulator.now == 0.5
+
+    def test_schedule_nan_delay(self):
+        simulator = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            simulator.schedule(NAN, lambda: None)
+        assert simulator.pending_events == 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"period": NAN},
+            {"period": None, "rate": NAN},
+            {"period": 1.0, "first_delay": NAN},
+        ],
+    )
+    def test_schedule_periodic_nan(self, kwargs):
+        simulator = Simulator()
+        fired = []
+        kwargs = dict(kwargs)
+        period = kwargs.pop("period")
+        with pytest.raises(SimulationError, match="nan"):
+            simulator.schedule_periodic(
+                period, lambda: fired.append(1), **kwargs
+            )
+        assert fired == [] and simulator.pending_events == 0
+
+    def test_run_until_nan(self):
+        simulator = Simulator()
+        seen = []
+        simulator.schedule(1.0, seen.append, 1)
+        with pytest.raises(SimulationError, match="nan"):
+            simulator.run(until=NAN)
+        assert seen == [] and simulator.pending_events == 1
+        assert simulator.now == 0.0
+
+    def test_run_for_nan(self):
+        simulator = Simulator()
+        simulator.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            simulator.run_for(NAN)
+        assert simulator.pending_events == 1
+        assert simulator.now == 0.0
