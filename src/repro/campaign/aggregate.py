@@ -225,43 +225,6 @@ def table_for(kind: str, records: Iterable[CellRecord]) -> TextTable:
     return table
 
 
-def lag_table(records: Iterable[CellRecord]) -> TextTable:
-    """One row per (platform, host) lag cell."""
-    return table_for("lag", records)
-
-
-def endpoints_table(records: Iterable[CellRecord]) -> TextTable:
-    """One row per endpoint-study cell (the 20/19.5/1.8 finding)."""
-    return table_for("endpoints", records)
-
-
-def qoe_table(records: Iterable[CellRecord]) -> TextTable:
-    """One row per (platform, motion, N) QoE cell."""
-    return table_for("qoe", records)
-
-
-def bandwidth_table(records: Iterable[CellRecord]) -> TextTable:
-    """One row per (platform, motion, limit) bandwidth cell."""
-    return table_for("bandwidth", records)
-
-
-def mobile_table(records: Iterable[CellRecord]) -> TextTable:
-    """One row per (platform, scenario, device) mobile reading."""
-    return table_for("mobile", records)
-
-
-def dynamics_table(records: Iterable[CellRecord]) -> TextTable:
-    """One row per (platform, scenario, phase), in timeline order."""
-    return table_for("dynamics", records)
-
-
-#: kind -> table builder, in render order (kept for compatibility).
-TABLE_BUILDERS = {
-    kind: (lambda records, _kind=kind: table_for(_kind, records))
-    for kind in KIND_TABLES
-}
-
-
 # --------------------------------------------------------------------- #
 # Progress and report assembly.
 # --------------------------------------------------------------------- #

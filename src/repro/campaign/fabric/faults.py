@@ -59,7 +59,7 @@ import re
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ...errors import CampaignError
 
@@ -200,8 +200,9 @@ class FaultPlan:
     """A seeded set of faults plus the shared claim state directory.
 
     Attributes:
-        chaos_seed: Seed the plan was derived with (recorded for
-            reproducibility; :func:`derive_faults` consumes it).
+        chaos_seed: Seed of the chaos run that built the plan, which
+            folds it into its grid's master seed; recorded so a failing
+            case reproduces exactly.
         specs: The faults to inject.
         state_dir: Directory holding firing-claim flag files -- shared
             across every process the plan is active in.
@@ -291,37 +292,6 @@ class FaultPlan:
                 if os.path.exists(flag):
                     count += 1
         return count
-
-
-def derive_faults(chaos_seed: int, master_seed: int,
-                  cell_ids: Sequence[str],
-                  sites: Sequence[str] = ("cell.crash",),
-                  delay_s: float = 0.0) -> List[FaultSpec]:
-    """Pick deterministic fault targets from a grid.
-
-    The target of each requested site is chosen by
-    ``sha256(chaos_seed:master_seed:site)`` over the sorted cell ids,
-    so the same seeds always torment the same cells -- a failing chaos
-    case reproduces exactly.
-    """
-    ordered = sorted(cell_ids)
-    if not ordered:
-        raise CampaignError("derive_faults needs at least one cell id")
-    specs: List[FaultSpec] = []
-    for site in sites:
-        digest = hashlib.sha256(
-            f"{chaos_seed}:{master_seed}:{site}".encode("utf-8")
-        ).digest()
-        target = ordered[int.from_bytes(digest[:4], "big") % len(ordered)]
-        needs_cell = site.startswith("cell.")
-        specs.append(FaultSpec(
-            site=site,
-            cell_id=target if needs_cell else None,
-            mode="",
-            times=1,
-            delay_s=delay_s,
-        ))
-    return specs
 
 
 # --------------------------------------------------------------------- #

@@ -180,22 +180,6 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import main as bench_main
-
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    if args.only:
-        argv.extend(["--only", args.only])
-    if args.out:
-        argv.extend(["--out", args.out])
-    if args.check:
-        argv.extend(["--check", args.check])
-    argv.extend(["--tolerance", str(args.tolerance)])
-    return bench_main(argv)
-
-
 def cmd_mobile(args: argparse.Namespace) -> int:
     result = run_mobile_scenario(
         args.platform,
@@ -590,24 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mobile.add_argument("-n", "--participants", type=int, default=3)
     mobile.set_defaults(func=cmd_mobile)
-
-    from .bench import BENCHMARKS, CHECK_TOLERANCE
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="tracked performance benchmarks (writes BENCH_*.json)",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small workloads (CI profile)")
-    bench.add_argument("--only", choices=sorted(BENCHMARKS), default=None)
-    bench.add_argument("-o", "--out", default=None,
-                       help="write the JSON payload here")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="fail if the packet-path counters or the "
-                            "fabric efficiency regressed vs a "
-                            "committed BENCH_*.json")
-    bench.add_argument("--tolerance", type=float, default=CHECK_TOLERANCE)
-    bench.set_defaults(func=cmd_bench)
 
     _add_campaign_subcommands(subparsers)
     return parser

@@ -26,10 +26,10 @@ parallel, persistent, resumable grid sweeps over them.
 """
 
 from .bandwidth_study import run_bandwidth_cell, run_bandwidth_grid
-from .dynamics_study import run_dynamics_cell, run_dynamics_grid
+from .dynamics_study import run_dynamics_cell
 from .endpoint_study import run_endpoint_study
-from .lag_study import run_all_platforms, run_lag_scenario
-from .mobile_study import run_figure19, run_mobile_scenario, run_table4
+from .lag_study import run_lag_scenario
+from .mobile_study import run_mobile_scenario, run_table4
 from .qoe_study import run_qoe_cell, run_qoe_grid
 from .scale import ExperimentScale, PAPER_SCALE, QUICK_SCALE
 
@@ -37,13 +37,10 @@ __all__ = [
     "ExperimentScale",
     "PAPER_SCALE",
     "QUICK_SCALE",
-    "run_all_platforms",
     "run_bandwidth_cell",
     "run_bandwidth_grid",
     "run_dynamics_cell",
-    "run_dynamics_grid",
     "run_endpoint_study",
-    "run_figure19",
     "run_lag_scenario",
     "run_mobile_scenario",
     "run_qoe_cell",

@@ -235,23 +235,3 @@ def run_dynamics_cell(
             )
         )
     return cell
-
-
-def run_dynamics_grid(
-    platforms: Sequence[str] = ("zoom", "webex", "meet"),
-    scenarios: Sequence[str] = DYNAMICS_SCENARIOS,
-    scale: ExperimentScale = QUICK_SCALE,
-) -> List[DynamicsCell]:
-    """Every (platform, scenario) combination, fresh testbed per platform."""
-    cells = []
-    for platform_name in platforms:
-        testbed = Testbed(TestbedConfig(seed=scale.seed))
-        for name in ("US-East", "US-East2", "US-Central"):
-            testbed.add_vm(name)
-        for scenario in scenarios:
-            cells.append(
-                run_dynamics_cell(
-                    platform_name, scenario, scale=scale, testbed=testbed
-                )
-            )
-    return cells

@@ -125,17 +125,3 @@ def run_lag_scenario(
             result.rtts_ms.setdefault(receiver, []).append(rtt)
         result.sessions.append(session_result)
     return result
-
-
-def run_all_platforms(
-    host: str,
-    group: str,
-    scale: ExperimentScale = QUICK_SCALE,
-) -> Dict[str, LagScenarioResult]:
-    """The full figure: one lag scenario per platform."""
-    results = {}
-    for platform_name in ("zoom", "webex", "meet"):
-        results[platform_name] = run_lag_scenario(
-            platform_name, host, group, scale
-        )
-    return results

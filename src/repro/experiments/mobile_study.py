@@ -196,21 +196,6 @@ def run_mobile_scenario(
     return result
 
 
-def run_figure19(
-    platforms: Sequence[str] = ("zoom", "webex", "meet"),
-    scenarios: Sequence[str] = MOBILE_SCENARIOS,
-    scale: ExperimentScale = QUICK_SCALE,
-) -> List[MobileScenarioResult]:
-    """All Figure 19 scenario rows."""
-    results = []
-    for platform_name in platforms:
-        for scenario_label in scenarios:
-            results.append(
-                run_mobile_scenario(platform_name, scenario_label, scale=scale)
-            )
-    return results
-
-
 def run_table4(
     platforms: Sequence[str] = ("zoom", "webex", "meet"),
     participant_counts: Sequence[int] = (3, 6, 11),

@@ -27,7 +27,6 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.fabric import faults
-from repro.campaign.fabric.faults import derive_faults
 from repro.campaign.fabric.selfcheck import _ok_content, _subprocess_env
 from repro.errors import CampaignError
 
@@ -177,14 +176,6 @@ class TestFaultPlan:
         plan.save(path)
         os.environ[faults.PLAN_ENV] = path
         assert faults.active_plan() == plan
-
-    def test_derive_faults_deterministic(self):
-        cells = [f"noop:index={i}" for i in range(10)]
-        first = derive_faults(3, 7, cells, sites=("cell.crash", "gc.crash"))
-        second = derive_faults(3, 7, cells, sites=("cell.crash", "gc.crash"))
-        assert first == second
-        assert first[0].cell_id in cells
-        assert first[1].cell_id is None  # gc has no cell context
 
 
 # --------------------------------------------------------------------- #
