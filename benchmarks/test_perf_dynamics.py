@@ -8,11 +8,12 @@ twice -- static links vs a busy 8-phase timeline whose conditions are
 all neutral, so both runs do identical media work -- and checks, all
 exactly:
 
-* the added simulator events are <5% of the session's event count,
+* the timeline adds exactly one simulator event per phase plus the
+  final restore, well under 5% of the session's event count,
 * both runs send the same packets, and
-* the dynamic run loses at most a per-boundary budget of fused packets
-  (only packets in flight across a boundary may leave the fast lane),
-  so timeline checks never push packets off the fused path wholesale.
+* both runs fuse the same packets: only a packet in flight across a
+  boundary may leave the fast lane, and at this scale none is, so a
+  timeline check that un-fuses even one packet fails here.
 
 Run with ``pytest benchmarks/test_perf_dynamics.py``.
 """
@@ -31,10 +32,6 @@ PHASES = 8
 
 #: The acceptance bound on added events (fraction of session events).
 MAX_EVENT_OVERHEAD = 0.05
-
-#: Packets in flight across one boundary that may take the slow path
-#: (and so add one event each, and not count as fused).
-MAX_CROSSING_PER_BOUNDARY = 16
 
 
 def _run_session(timeline: ConditionTimeline | None, scale) -> Network:
@@ -91,18 +88,16 @@ def test_timeline_event_overhead_under_5_percent(scale):
     dynamic = _run_session(timeline, scale)
     static_events = static.simulator.events_processed
     added = dynamic.simulator.events_processed - static_events
-    # The timeline itself contributes one event per phase boundary
-    # plus the final restore.  Packets whose flight window overlaps a
-    # registered boundary travel the un-fused slow path (that is what
-    # keeps dynamics sessions bit-identical with the fast lane on), so
-    # each in-flight packet at a boundary may add one more event;
-    # bound that by a small per-boundary budget rather than asserting
-    # the boundary events alone.
-    budget = (PHASES + 1) * MAX_CROSSING_PER_BOUNDARY
-    assert 0 < added <= PHASES + 1 + budget
+    # The timeline contributes one event per phase boundary plus the
+    # final restore.  A packet whose flight window overlaps a
+    # registered boundary would travel the un-fused slow path (that is
+    # what keeps dynamics sessions bit-identical with the fast lane
+    # on) and add one more event, but at this scale no packet is in
+    # flight across any boundary: the counts are exact.
+    assert added == PHASES + 1
     assert added / static_events < MAX_EVENT_OVERHEAD
-    # Neutral phases change no condition, so both runs send the same
-    # packets, and only the boundary-crossing ones may lose fusion: a
-    # per-packet timeline check that un-fuses packets fails here.
+    # Neutral phases change no condition, so both runs send and fuse
+    # the same packets: a per-packet timeline check that un-fuses
+    # packets fails here.
     assert _packets_sent(dynamic) == _packets_sent(static)
-    assert 0 <= static.fast_lane_fused - dynamic.fast_lane_fused <= budget
+    assert dynamic.fast_lane_fused == static.fast_lane_fused

@@ -58,7 +58,7 @@ import os
 import re
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ...errors import CampaignError

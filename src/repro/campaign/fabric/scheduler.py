@@ -18,7 +18,8 @@
   degrading a repeatedly-dying worker executor to ``inline`` with a
   loud warning,
 * persists a checkpoint sidecar (attempt counts, quarantine state,
-  degradation, live backoff waits) atomically alongside the store, so
+  degradation, live backoff waits) atomically alongside the store
+  each time that state changes (a clean run writes none), so
   ``--resume`` after a SIGKILL continues mid-grid with the retry
   budget *and quarantine decisions* intact,
 * streams every record through a
@@ -70,6 +71,9 @@ MAX_SHARD_SIZE = 16
 class FabricConfig:
     """Scheduling policy for one campaign run.
 
+    The checkpoint sidecar has no cadence setting: the scheduler
+    writes it whenever the retry state changes, and only then.
+
     Attributes:
         workers: Worker count (``1`` stays in-process, more runs owned
             worker processes).
@@ -80,7 +84,6 @@ class FabricConfig:
         durability: Store durability policy (``None``: fsync every
             record).
         poll_interval_s: Executor poll granularity.
-        checkpoint_every: Events between checkpoint writes.
         backoff_base_s: First-retry backoff scale; retries wait
             ``min(cap, base * 2**(attempt-1))`` scaled by a
             deterministic jitter in ``[0.5, 1.0)`` derived from
@@ -100,7 +103,6 @@ class FabricConfig:
     cell_timeout_s: Optional[float] = None
     durability: "DurabilityPolicy | int | None" = None
     poll_interval_s: float = 0.25
-    checkpoint_every: int = 8
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     poison_threshold: int = 3
@@ -167,7 +169,6 @@ class CampaignScheduler:
         #: records folded from the store on resume).
         self.aggregator = StreamingAggregator(spec)
         self._attempts: Dict[str, int] = {}
-        self._events_since_checkpoint = 0
         #: Worker deaths attributed per cell (poison accounting).
         self._worker_kills: Dict[str, int] = {}
         #: Cells quarantined as poison (never requeued again).
@@ -179,6 +180,12 @@ class CampaignScheduler:
         self._backoff: List[Tuple[float, Dict[str, Any]]] = []
         #: Consecutive worker-death polls without a completed cell.
         self._death_streak = 0
+        #: The retry state the sidecar on disk holds, as compared by
+        #: :meth:`_save_checkpoint`: empty when there is no sidecar,
+        #: ``None`` when unknown, which forces the next save.
+        self._persisted: Optional[Tuple[Any, ...]] = (
+            {}, {}, set(), None, set()
+        )
         self._executor: Any = None
 
     # -- checkpointing ---------------------------------------------------
@@ -221,15 +228,27 @@ class CampaignScheduler:
         # (surfaced by ``campaign watch``); a fresh run starts clean.
 
     def _save_checkpoint(self, store: Any) -> None:
+        """Persist the retry state if it differs from the sidecar's.
+
+        Called after every step that can change that state; a clean
+        run never changes it, so it never writes.  Backoff deadlines
+        are written but not compared: only the set of waiting cells is.
+        """
+        attempts, kills = self._attempts, self._worker_kills
+        quarantined, degraded = self._quarantined, self._degraded
+        backoff = {payload["cell_id"] for _, payload in self._backoff}
+        if self._persisted == (attempts, kills, quarantined, degraded,
+                               backoff):
+            return
         path = self._checkpoint_path(store)
         now_monotonic = time.monotonic()
         now_wall = time.time()
         state = {
             "spec_hash": self.spec.spec_hash(),
-            "attempts": self._attempts,
-            "kills": self._worker_kills,
-            "quarantined": sorted(self._quarantined),
-            "degraded": self._degraded,
+            "attempts": attempts,
+            "kills": kills,
+            "quarantined": sorted(quarantined),
+            "degraded": degraded,
             # Wall-clock deadlines so an outside watcher can render
             # "how long until the retry" without our monotonic base.
             "backoff": {
@@ -238,7 +257,6 @@ class CampaignScheduler:
                 )
                 for ready_at, payload in self._backoff
             },
-            "updated_at": now_wall,
         }
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -246,7 +264,8 @@ class CampaignScheduler:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        self._events_since_checkpoint = 0
+        self._persisted = (dict(attempts), dict(kills), set(quarantined),
+                           degraded, backoff)
 
     def _clear_checkpoint(self, store: Any) -> None:
         try:
@@ -267,6 +286,14 @@ class CampaignScheduler:
             from .faults import PARENT_PID_ENV
             os.environ.setdefault(PARENT_PID_ENV, str(os.getpid()))
         store = open_store(self.store_path, durability=config.durability)
+        # The one grid expansion of the run: it also sizes the header
+        # and the aggregator's progress total.
+        cells = self.spec.expand()
+        self.aggregator.total = len(cells)
+        # A sidecar already on disk (valid, torn or stale) is rewritten
+        # at the first save point.
+        if os.path.exists(self._checkpoint_path(store)):
+            self._persisted = None
         completed: set = set()
         recorded: set = set()
         if store.exists():
@@ -283,9 +310,8 @@ class CampaignScheduler:
             self.aggregator.seed(records)
             self._load_checkpoint(store)
         else:
-            store.initialise(self.spec)
+            store.initialise(self.spec, cell_count=len(cells))
 
-        cells = self.spec.expand()
         spec_hash = self.spec.spec_hash()
         # Quarantined cells stay out of the grid on resume: the
         # checkpoint remembers the poison verdict, so a resumed run
@@ -397,7 +423,6 @@ class CampaignScheduler:
                 saw_done = False
                 saw_death = False
                 for event in events:
-                    self._events_since_checkpoint += 1
                     if isinstance(event, CellDone):
                         saw_done = True
                         record_result(event.result)
@@ -405,6 +430,9 @@ class CampaignScheduler:
                         saw_death = saw_death or event.worker_death
                         self._absorb_failure(store, event, record_result,
                                              summary)
+                        # Persist the spent attempts before any later
+                        # record lands.
+                        self._save_checkpoint(store)
                 # Crash-loop accounting: a poll that completed any cell
                 # is progress; a poll that only killed workers is one
                 # step toward the breaker.
@@ -417,8 +445,9 @@ class CampaignScheduler:
                     and self._executor.name != InlineExecutor.name
                 ):
                     submit(self._degrade_executor(store, summary))
-                if self._events_since_checkpoint >= config.checkpoint_every:
-                    self._save_checkpoint(store)
+                # The poll's other changes: drained backoff waits, a
+                # breaker trip.
+                self._save_checkpoint(store)
         finally:
             self._executor.shutdown()
             self._executor = None
@@ -456,7 +485,6 @@ class CampaignScheduler:
             cell_timeout_s=self.config.cell_timeout_s
         )
         self._executor.start()
-        self._save_checkpoint(store)
         return [
             payload for event in abandoned for payload in event.pending
         ]

@@ -79,7 +79,9 @@ class StreamingAggregator:
 
     def __init__(self, spec: CampaignSpec) -> None:
         self.spec = spec
-        self.total = spec.cell_count()
+        #: Cells in the grid: set by the scheduler from its one grid
+        #: expansion, else expanded at the first snapshot.
+        self.total: Optional[int] = None
         self._ok: Dict[str, CellRecord] = {}
         self._failed: Dict[str, List[CellRecord]] = {}
         self._rows: Dict[str, Dict[str, List[List[object]]]] = {}
@@ -200,6 +202,8 @@ class StreamingAggregator:
 
     def snapshot(self) -> ProgressSnapshot:
         """Current progress (cells/s, ETA, per-kind counts)."""
+        if self.total is None:
+            self.total = self.spec.cell_count()
         ok = self.ok_count
         pending = self.total - ok
         rate = self._rate()

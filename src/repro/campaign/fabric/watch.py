@@ -51,8 +51,10 @@ def load_fabric_health(store: Any) -> Optional[Dict[str, Any]]:
     The sidecar (``fabric.json`` next to the store) is where the
     scheduler persists degradation state -- retry attempts, worker-kill
     attribution, quarantined cells, executor downgrades and pending
-    backoff waits.  Watching tolerates a missing or torn sidecar (the
-    writer may be mid-``os.replace``).
+    backoff waits.  The scheduler writes it only when that state
+    changes, so a run with no failure has none: ``None`` means nothing
+    to report.  Watching also tolerates a torn sidecar (the writer may
+    be mid-``os.replace``).
     """
     path = store.sidecar_path("fabric.json")
     if not os.path.exists(path):

@@ -221,14 +221,14 @@ def partition_superseded(
     return kept, len(payloads) - len(kept)
 
 
-def build_header(spec: CampaignSpec) -> Dict[str, Any]:
+def build_header(spec: CampaignSpec, cell_count: int) -> Dict[str, Any]:
     """The header payload a store persists at initialise time."""
     return {
         "type": HEADER_TYPE,
         "name": spec.name,
         "spec_hash": spec.spec_hash(),
         "created_at": time.time(),
-        "cells": spec.cell_count(),
+        "cells": cell_count,
         "spec": spec.to_dict(),
     }
 
@@ -309,8 +309,12 @@ class CampaignStoreBase(ABC):
 
     # -- shared behaviour ------------------------------------------------
 
-    def initialise(self, spec: CampaignSpec) -> None:
+    def initialise(self, spec: CampaignSpec,
+                   cell_count: Optional[int] = None) -> None:
         """Write the header for a fresh store.
+
+        ``cell_count`` is the size of the grid when the caller has
+        already expanded it; otherwise the spec is expanded here.
 
         Raises:
             CampaignError: The path already holds a campaign (use
@@ -321,7 +325,9 @@ class CampaignStoreBase(ABC):
                 f"store {self.path!r} already exists; resume it or pick "
                 "a new path"
             )
-        header = build_header(spec)
+        if cell_count is None:
+            cell_count = spec.cell_count()
+        header = build_header(spec, cell_count)
         self._write_header(header)
         self._header = header
 

@@ -295,6 +295,21 @@ def cmd_campaign_watch(args: argparse.Namespace) -> int:
     return 0 if (snapshot.complete and not snapshot.failed) else 1
 
 
+def _release_workdir(args: argparse.Namespace, workdir: str,
+                     failed: bool, label: str) -> None:
+    """Keep a work directory that holds failure evidence, and say where.
+
+    A temp directory made for a passing run is removed; a ``--workdir``
+    the user gave is never deleted.
+    """
+    if failed:
+        print(f"{label}: evidence kept in {workdir}")
+    elif args.workdir is None:
+        import shutil
+
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 def cmd_campaign_selfcheck(args: argparse.Namespace) -> int:
     import tempfile
 
@@ -341,6 +356,7 @@ def cmd_campaign_selfcheck(args: argparse.Namespace) -> int:
             for mismatch in gc_result.mismatches:
                 print(f"  {mismatch}")
             failures += 1
+    _release_workdir(args, workdir, bool(failures), "selfcheck")
     return 1 if failures else 0
 
 
@@ -359,6 +375,7 @@ def cmd_campaign_chaos(args: argparse.Namespace) -> int:
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _release_workdir(args, workdir, True, "chaos")
         return 2
     failures = 0
     for result in results:
@@ -375,7 +392,8 @@ def cmd_campaign_chaos(args: argparse.Namespace) -> int:
             for mismatch in result.mismatches:
                 print(f"  {mismatch}")
     print(f"chaos matrix: {len(results) - failures}/{len(results)} "
-          f"cases survived (workdir={workdir})")
+          "cases survived")
+    _release_workdir(args, workdir, bool(failures), "chaos")
     return 1 if failures else 0
 
 

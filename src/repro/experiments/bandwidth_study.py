@@ -9,8 +9,8 @@ mode on the low-motion sessions, which contain only human voice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 

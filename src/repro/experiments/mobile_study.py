@@ -14,9 +14,7 @@ N in {3, 6, 11}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from ..core.session import SessionConfig
 from ..core.testbed import Testbed, TestbedConfig

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.postprocess import align_recorded_video, recording_prefix_frames
-from ..core.results import QoeSessionResult, RateSummary
+from ..core.results import QoeSessionResult
 from ..core.session import SessionConfig
 from ..core.testbed import Testbed, TestbedConfig
 from ..errors import MeasurementError

@@ -239,6 +239,121 @@ class TestScheduler:
         assert snapshot.ok == 5 and snapshot.failed == 0
 
 
+class TestBookkeepingCounts:
+    """Durable bookkeeping happens only when something changed: exact
+    counts of sidecar writes and grid expansions."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_clean_run_writes_no_sidecar(self, tmp_path, monkeypatch,
+                                         workers):
+        from repro.campaign.store import CampaignStoreBase
+
+        writes = []
+        replace = os.replace
+
+        def counting_replace(src, dst):
+            if str(dst).endswith(CHECKPOINT_NAME):
+                writes.append(dst)
+            replace(src, dst)
+
+        sidecar_seen = []
+        append = CampaignStoreBase.append_cell
+
+        def checked_append(store, record):
+            sidecar_seen.append(
+                os.path.exists(store.sidecar_path(CHECKPOINT_NAME))
+            )
+            append(store, record)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        monkeypatch.setattr(CampaignStoreBase, "append_cell", checked_append)
+        spec = calibration_campaign(cells=40, name="clean")
+        path = str(tmp_path / "clean.jsonl")
+        summary = run_campaign(spec, path, workers=workers)
+        assert summary.executed == 40 and summary.failed == 0
+        assert writes == []
+        assert sidecar_seen == [False] * 40
+        assert not os.path.exists(path + "." + CHECKPOINT_NAME)
+
+    def test_spent_attempt_is_on_disk_before_the_next_record(
+            self, tmp_path, monkeypatch):
+        from repro.campaign.store import CampaignStoreBase
+
+        flag = str(tmp_path / "crash.flag")
+        spec = calibration_campaign(cells=4, crash_flags=(flag,),
+                                    name="attempt-on-disk")
+        crash_cell = next(
+            cell.cell_id for cell in spec.expand()
+            if cell.params.get("crash_flag")
+        )
+        absorbed = []
+        after_failure = []
+        absorb = CampaignScheduler._absorb_failure
+        append = CampaignStoreBase.append_cell
+
+        def marking_absorb(scheduler, *args):
+            absorb(scheduler, *args)
+            absorbed.append(True)
+
+        def checked_append(store, record):
+            if absorbed:
+                with open(store.sidecar_path(CHECKPOINT_NAME)) as handle:
+                    after_failure.append(json.load(handle)["attempts"])
+            append(store, record)
+
+        monkeypatch.setattr(CampaignScheduler, "_absorb_failure",
+                            marking_absorb)
+        monkeypatch.setattr(CampaignStoreBase, "append_cell", checked_append)
+        summary = run_campaign(spec, str(tmp_path / "crash.jsonl"),
+                               workers=2, max_attempts=2)
+        assert summary.failed == 0 and summary.retried == 1
+        assert absorbed == [True]
+        # The retried cell's own record lands after the failure at least.
+        assert after_failure
+        assert all(state == {crash_cell: 1} for state in after_failure)
+
+    def test_resume_rewrites_a_torn_sidecar_at_its_first_save(
+            self, tmp_path):
+        spec = calibration_campaign(cells=3, name="torn-resume")
+        path = str(tmp_path / "torn.jsonl")
+        open_store(path).initialise(spec)
+        sidecar = path + "." + CHECKPOINT_NAME
+        with open(sidecar, "w") as handle:
+            handle.write('{"attempts": {"noo')
+        seen = []
+
+        def progress(record, done, total):
+            with open(sidecar) as handle:
+                seen.append(handle.read())
+
+        run_campaign(spec, path, resume=True, progress=progress)
+        # Inline units land one record per poll; the poll's end is the
+        # first save point.
+        assert seen[0] == '{"attempts": {"noo'
+        assert json.loads(seen[1])["attempts"] == {}
+        assert not os.path.exists(sidecar)
+
+    def test_fresh_run_expands_the_grid_once(self, tmp_path, monkeypatch):
+        from repro.campaign.spec import CampaignCell
+
+        spec = calibration_campaign(cells=12, name="one-expand")
+        cells = spec.cell_count()
+        built = []
+        build = CampaignCell.build.__func__
+
+        def counting_build(cls, *args):
+            built.append(args[1])
+            return build(cls, *args)
+
+        monkeypatch.setattr(CampaignCell, "build",
+                            classmethod(counting_build))
+        summary = run_campaign(spec, str(tmp_path / "once.jsonl"))
+        assert summary.executed == cells
+        assert len(built) == cells
+        assert open_store(str(tmp_path / "once.jsonl")).header()["cells"] \
+            == cells
+
+
 class TestStreamingAggregation:
     def folded_report(self, spec, records):
         aggregator = StreamingAggregator(spec)
@@ -464,7 +579,6 @@ class TestWatch:
             "degraded": "workers->inline after 3 consecutive "
                         "worker-death polls with no completed cells",
             "backoff": {"noop:index=1,spin_ms=0.0": time_mod.time() + 60},
-            "updated_at": time_mod.time(),
         }
         with open(store.sidecar_path("fabric.json"), "w") as handle:
             json_mod.dump(sidecar, handle)
@@ -549,3 +663,88 @@ class TestFabricCli:
             "--workdir", str(tmp_path),
         ]) == 2
         assert "unknown fault class" in capsys.readouterr().err
+
+
+class TestScratchWorkdir:
+    """``campaign chaos`` and ``campaign selfcheck`` remove the temp
+    directory they made once every case passes, keep it (and print its
+    path) after a failure, and never delete a ``--workdir`` they were
+    given."""
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        import tempfile
+
+        root = tmp_path / "tmp"
+        root.mkdir()
+        mkdtemp = tempfile.mkdtemp
+        monkeypatch.setattr(
+            tempfile, "mkdtemp",
+            lambda prefix: mkdtemp(prefix=prefix, dir=str(root)),
+        )
+        return root
+
+    @staticmethod
+    def fake_selfcheck(monkeypatch, mismatches):
+        from repro.campaign import fabric
+        from repro.campaign.fabric import GcSelfCheckResult, SelfCheckResult
+
+        def run_selfcheck(workdir, **_):
+            os.makedirs(workdir)
+            open(os.path.join(workdir, "store.jsonl"), "w").close()
+            return SelfCheckResult(total=4, ok_at_kill=2,
+                                   killed_mid_grid=True, resumed_executed=2,
+                                   mismatches=list(mismatches))
+
+        def run_gc_selfcheck(workdir):
+            os.makedirs(workdir)
+            return GcSelfCheckResult(gc_returncode=-9, errors_dropped=1)
+
+        monkeypatch.setattr(fabric, "run_selfcheck", run_selfcheck)
+        monkeypatch.setattr(fabric, "run_gc_selfcheck", run_gc_selfcheck)
+
+    def test_chaos_pass_removes_its_tempdir(self, temp_root, capsys):
+        assert main(["campaign", "chaos", "--quick", "--faults", "slow"]) == 0
+        assert "1/1 cases survived" in capsys.readouterr().out
+        assert list(temp_root.iterdir()) == []
+
+    def test_chaos_failure_keeps_its_tempdir(self, temp_root, capsys,
+                                             monkeypatch):
+        from repro.campaign import fabric
+        from repro.campaign.fabric import ChaosCaseResult
+
+        def failing_matrix(workdir, **_):
+            open(os.path.join(workdir, "evidence.jsonl"), "w").close()
+            return [ChaosCaseResult("slow", fired=1, duration_s=0.0,
+                                    mismatches=["content differs"])]
+
+        monkeypatch.setattr(fabric, "run_chaos_matrix", failing_matrix)
+        assert main(["campaign", "chaos", "--quick"]) == 1
+        (kept,) = temp_root.iterdir()
+        assert (kept / "evidence.jsonl").exists()
+        assert f"chaos: evidence kept in {kept}" in capsys.readouterr().out
+
+    def test_selfcheck_pass_removes_its_tempdir(self, temp_root, capsys,
+                                                monkeypatch):
+        self.fake_selfcheck(monkeypatch, mismatches=())
+        assert main(["campaign", "selfcheck"]) == 0
+        assert "selfcheck: PASS" in capsys.readouterr().out
+        assert list(temp_root.iterdir()) == []
+
+    def test_selfcheck_failure_keeps_its_tempdir(self, temp_root, capsys,
+                                                 monkeypatch):
+        self.fake_selfcheck(monkeypatch, mismatches=("orphaned worker",))
+        assert main(["campaign", "selfcheck"]) == 1
+        (kept,) = temp_root.iterdir()
+        assert (kept / "kill" / "store.jsonl").exists()
+        out = capsys.readouterr().out
+        assert "selfcheck: FAIL" in out
+        assert f"selfcheck: evidence kept in {kept}" in out
+
+    def test_given_workdir_is_never_deleted(self, tmp_path, capsys,
+                                            monkeypatch):
+        self.fake_selfcheck(monkeypatch, mismatches=())
+        workdir = tmp_path / "mine"
+        assert main(["campaign", "selfcheck", "--workdir",
+                     str(workdir)]) == 0
+        assert (workdir / "kill" / "store.jsonl").exists()
