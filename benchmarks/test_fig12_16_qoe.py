@@ -1,35 +1,58 @@
 """Figures 12, 14, 15 and 16: video QoE and data rates vs session size.
 
-Regenerates the QoE grids: PSNR/SSIM/VIFp per (platform, motion, N) in
-the US (Fig. 12), the low-to-high-motion degradation (Fig. 14), the
-upload/download rates (Fig. 15), and the European high-motion grid
-(Fig. 16), asserting the paper's orderings.
+Regenerates the QoE grids as campaigns: PSNR/SSIM/VIFp per (platform,
+motion, N) in the US (Fig. 12), the low-to-high-motion degradation
+(Fig. 14), the upload/download rates (Fig. 15), and the European
+high-motion grid (Fig. 16), asserting the paper's orderings.
 """
 
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.tables import TextTable
-from repro.experiments.qoe_study import (
-    EU_ROSTER,
-    US_ROSTER,
-    degradation_table,
-    run_qoe_grid,
-)
+from repro.campaign import ScenarioSpec
 
-from .conftest import run_once
+from .conftest import campaign_records, run_once
+
+PLATFORMS = ("zoom", "webex", "meet")
+
+
+def qoe_cells(tmp_path_factory, name, region, motions, counts):
+    """One figure's QoE grid, run as a campaign, as per-cell numbers."""
+    records = campaign_records(tmp_path_factory, name, [
+        ScenarioSpec("qoe", {
+            "platform": PLATFORMS,
+            "motion": motions,
+            "participants": counts,
+            "region": (region,),
+            "compute_vifp": (True,),
+        })
+    ])
+    return [
+        SimpleNamespace(
+            platform=record.params["platform"],
+            motion=record.params["motion"],
+            num_participants=record.params["participants"],
+            psnr_mean=record.metrics["psnr_db"]["mean"],
+            ssim_mean=record.metrics["ssim"]["mean"],
+            vifp_mean=record.metrics["vifp"]["mean"],
+            upload_mbps=record.metrics["upload_mbps"],
+            download_mbps=record.metrics["download_mbps"],
+        )
+        for record in records
+    ]
 
 
 @pytest.fixture(scope="module")
-def us_grid():
-    from .conftest import BENCH_SCALE
+def us_grid(tmp_path_factory):
+    return qoe_cells(tmp_path_factory, "fig12-us", "US", ("low", "high"),
+                     (2, 4))
 
-    return run_qoe_grid(
-        participant_counts=(2, 4),
-        roster=US_ROSTER,
-        scale=BENCH_SCALE,
-        compute_vifp=True,
-    )
+
+@pytest.fixture(scope="module")
+def eu_grid(tmp_path_factory):
+    return qoe_cells(tmp_path_factory, "fig16-eu", "EU", ("high",), (3,))
 
 
 def render_grid(cells):
@@ -45,8 +68,7 @@ def render_grid(cells):
                 cell.num_participants,
                 f"{cell.psnr_mean:.1f}",
                 f"{cell.ssim_mean:.3f}",
-                f"{cell.vifp_mean:.3f}" if cell.vifp_mean == cell.vifp_mean
-                else "--",
+                f"{cell.vifp_mean:.3f}",
                 f"{cell.upload_mbps:.2f}",
                 f"{cell.download_mbps:.2f}",
             ]
@@ -81,7 +103,16 @@ def test_fig12_qoe_us(benchmark, emit, us_grid):
 
 def test_fig14_degradation(benchmark, emit, us_grid):
     cells = run_once(benchmark, lambda: us_grid)
-    table = degradation_table(cells)
+    grid = by_key(cells)
+    table = {}
+    for platform in PLATFORMS:
+        for n in (2, 4):
+            low, high = grid[(platform, "low", n)], grid[(platform, "high", n)]
+            table[(platform, n)] = {
+                "psnr": low.psnr_mean - high.psnr_mean,
+                "ssim": low.ssim_mean - high.ssim_mean,
+                "vifp": low.vifp_mean - high.vifp_mean,
+            }
     rendered = TextTable(["Platform", "N", "dPSNR", "dSSIM", "dVIFp"])
     for (platform, n), deltas in sorted(table.items()):
         rendered.add_row(
@@ -132,19 +163,8 @@ def test_fig15_data_rates(benchmark, emit, us_grid):
     )
 
 
-def test_fig16_qoe_europe(benchmark, emit):
-    from .conftest import BENCH_SCALE
-
-    def run():
-        return run_qoe_grid(
-            motions=("high",),
-            participant_counts=(3,),
-            roster=EU_ROSTER,
-            scale=BENCH_SCALE,
-            compute_vifp=True,
-        )
-
-    cells = run_once(benchmark, run)
+def test_fig16_qoe_europe(benchmark, emit, eu_grid):
+    cells = run_once(benchmark, lambda: eu_grid)
     emit("Figure 16: video QoE metrics (Europe, high motion)",
          render_grid(cells))
 

@@ -6,31 +6,41 @@ gracefully, Webex collapses (video stalls/disappears at <= 1 Mbps and
 its audio deteriorates), and Zoom/Meet audio stays essentially flat.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.tables import TextTable
-from repro.experiments.bandwidth_study import (
-    RATE_LIMITS,
-    limit_label,
-    run_bandwidth_grid,
-)
+from repro.campaign import ScenarioSpec
+from repro.experiments.bandwidth_study import RATE_LIMITS, limit_label
 
-from .conftest import run_once
+from .conftest import campaign_records, run_once
 
 
 @pytest.fixture(scope="module")
-def cap_grid():
-    from .conftest import BENCH_SCALE
-
+def cap_grid(tmp_path_factory):
     # One session per cell at benchmark scale; the cell runner extends
     # session duration so adaptation reaches steady state.
-    return run_bandwidth_grid(
-        motion="high", scale=BENCH_SCALE, compute_vifp=False
-    )
+    records = campaign_records(tmp_path_factory, "fig17-caps", [
+        ScenarioSpec("bandwidth", {
+            "platform": ("zoom", "webex", "meet"),
+            "motion": ("high",),
+            "limit_bps": RATE_LIMITS,
+        })
+    ])
+    return [
+        SimpleNamespace(
+            platform=record.params["platform"],
+            limit_label=record.metrics["limit_label"],
+            psnr_mean=record.metrics["psnr_db"],
+            mos_lqo_mean=record.metrics["mos_lqo"],
+        )
+        for record in records
+    ]
 
 
 def cells_by_key(cells):
-    return {(c.platform, limit_label(c.limit_bps)): c for c in cells}
+    return {(c.platform, c.limit_label): c for c in cells}
 
 
 def test_fig17_video_under_caps(benchmark, emit, cap_grid):

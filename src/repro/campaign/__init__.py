@@ -46,7 +46,6 @@ from .aggregate import (
     build_report,
     report_from_store,
     status_table,
-    table_for,
 )
 from .fabric import (
     FAULT_CLASSES,
@@ -142,6 +141,5 @@ __all__ = [
     "run_selfcheck",
     "smoke_campaign",
     "status_table",
-    "table_for",
     "watch_store",
 ]

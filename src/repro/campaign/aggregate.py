@@ -17,17 +17,8 @@ assembled from the store after the fact.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis.report import ExperimentReport
 from ..analysis.tables import TextTable
@@ -52,15 +43,6 @@ def _fmt(value: Optional[float], spec: str = ".1f") -> str:
         return "-"
     formatted = format(value, spec)
     return "-" if formatted == "nan" else formatted
-
-
-def _ok_records(records: Iterable[CellRecord], kind: str) -> List[CellRecord]:
-    """The latest ok record per cell of ``kind``, sorted by cell id."""
-    latest: Dict[str, CellRecord] = {}
-    for record in records:
-        if record.kind == kind and record.ok and record.metrics:
-            latest[record.cell_id] = record
-    return [latest[cell_id] for cell_id in sorted(latest)]
 
 
 # --------------------------------------------------------------------- #
@@ -215,55 +197,24 @@ KIND_TABLES: Dict[str, TableSpec] = {
 }
 
 
-def table_for(kind: str, records: Iterable[CellRecord]) -> TextTable:
-    """The paper table of one kind, from ok records."""
-    spec = KIND_TABLES[kind]
-    table = TextTable(list(spec.headers))
-    for record in _ok_records(records, kind):
-        for row in spec.rows(record):
-            table.add_row(row)
-    return table
-
-
 # --------------------------------------------------------------------- #
 # Progress and report assembly.
 # --------------------------------------------------------------------- #
 
-def status_rows_from_ids(
-    spec: CampaignSpec, ok_ids: Set[str], failed_ids: Set[str]
-) -> List[List[object]]:
-    """Per-kind (total, completed, failed, pending) progress rows."""
-    cells = spec.expand()
-    totals: Counter = Counter(c.kind for c in cells)
-    failed_ids = failed_ids - ok_ids
-    rows = []
-    for kind in KIND_TITLES:
-        if kind not in totals:
-            continue
-        kind_cells = [c for c in cells if c.kind == kind]
-        done = sum(1 for c in kind_cells if c.cell_id in ok_ids)
-        failed = sum(1 for c in kind_cells if c.cell_id in failed_ids)
-        rows.append(
-            [kind, totals[kind], done, failed, totals[kind] - done]
-        )
-    return rows
+def _folded(spec: CampaignSpec, records: Sequence[CellRecord]):
+    """A :class:`StreamingAggregator` holding ``records``."""
+    from .fabric.streaming import StreamingAggregator
 
-
-def status_rows(spec: CampaignSpec,
-                records: Sequence[CellRecord]) -> List[List[object]]:
-    """Per-kind progress rows derived from raw records."""
-    ok_ids = {r.cell_id for r in records if r.ok}
-    failed_ids = {r.cell_id for r in records if not r.ok}
-    return status_rows_from_ids(spec, ok_ids, failed_ids)
+    aggregator = StreamingAggregator(spec)
+    for record in records:
+        aggregator.fold(record)
+    return aggregator
 
 
 def status_table(spec: CampaignSpec,
                  records: Sequence[CellRecord]) -> TextTable:
-    """Progress of a campaign as a table."""
-    table = TextTable(["Kind", "Cells", "Completed", "Failed", "Pending"])
-    for row in status_rows(spec, records):
-        table.add_row(row)
-    return table
+    """Per-kind progress of a campaign, folded from its records."""
+    return _folded(spec, records).status_table()
 
 
 def build_report(spec: CampaignSpec,
@@ -274,12 +225,7 @@ def build_report(spec: CampaignSpec,
     built incrementally during a run and one built from the store
     afterwards are the same document.
     """
-    from .fabric.streaming import StreamingAggregator
-
-    aggregator = StreamingAggregator(spec)
-    for record in records:
-        aggregator.fold(record)
-    return aggregator.build_report()
+    return _folded(spec, records).build_report()
 
 
 def report_from_store(store_path: str) -> ExperimentReport:

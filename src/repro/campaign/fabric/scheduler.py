@@ -287,9 +287,9 @@ class CampaignScheduler:
             os.environ.setdefault(PARENT_PID_ENV, str(os.getpid()))
         store = open_store(self.store_path, durability=config.durability)
         # The one grid expansion of the run: it also sizes the header
-        # and the aggregator's progress total.
+        # and the aggregator's per-kind progress totals.
         cells = self.spec.expand()
-        self.aggregator.total = len(cells)
+        self.aggregator.count_grid(cells)
         # A sidecar already on disk (valid, torn or stale) is rewritten
         # at the first save point.
         if os.path.exists(self._checkpoint_path(store)):

@@ -15,14 +15,14 @@ folding records through this class.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ...analysis.report import ExperimentReport
 from ...analysis.tables import TextTable
-from ..aggregate import KIND_TABLES, KIND_TITLES, status_rows_from_ids
-from ..spec import CampaignSpec
+from ..aggregate import KIND_TABLES, KIND_TITLES
+from ..spec import CampaignCell, CampaignSpec
 from ..store import CellRecord
 
 #: How many recent arrival timestamps feed the throughput estimate.
@@ -79,9 +79,9 @@ class StreamingAggregator:
 
     def __init__(self, spec: CampaignSpec) -> None:
         self.spec = spec
-        #: Cells in the grid: set by the scheduler from its one grid
-        #: expansion, else expanded at the first snapshot.
-        self.total: Optional[int] = None
+        #: Cells per kind in the grid: counted by the scheduler from its
+        #: one grid expansion, else expanded once on first use.
+        self._kind_totals: Optional[Dict[str, int]] = None
         self._ok: Dict[str, CellRecord] = {}
         self._failed: Dict[str, List[CellRecord]] = {}
         self._rows: Dict[str, Dict[str, List[List[object]]]] = {}
@@ -200,26 +200,56 @@ class StreamingAggregator:
         self._delta_dirty.clear()
         return deltas
 
+    def count_grid(self, cells: Iterable[CampaignCell]) -> None:
+        """Take the per-kind grid totals from an existing expansion."""
+        self._kind_totals = dict(Counter(cell.kind for cell in cells))
+
+    def _totals(self) -> Dict[str, int]:
+        if self._kind_totals is None:
+            self.count_grid(self.spec.expand())
+        return self._kind_totals
+
+    def kind_rows(self) -> List[List[object]]:
+        """Per-kind ``[kind, total, done, failed, pending]`` rows.
+
+        Done and failed are the fold's distinct-cell counters, so a
+        row costs no pass over the grid or the records.
+        """
+        totals = self._totals()
+        rows: List[List[object]] = []
+        for kind in KIND_TITLES:
+            if kind in totals:
+                done = self._kind_ok.get(kind, 0)
+                rows.append([kind, totals[kind], done,
+                             self._kind_failed.get(kind, 0),
+                             totals[kind] - done])
+        return rows
+
+    def status_table(self) -> TextTable:
+        """The per-kind progress rows as a table."""
+        table = TextTable(["Kind", "Cells", "Completed", "Failed",
+                           "Pending"])
+        for row in self.kind_rows():
+            table.add_row(row)
+        return table
+
     def snapshot(self) -> ProgressSnapshot:
         """Current progress (cells/s, ETA, per-kind counts)."""
-        if self.total is None:
-            self.total = self.spec.cell_count()
+        total = sum(self._totals().values())
         ok = self.ok_count
-        pending = self.total - ok
+        pending = total - ok
         rate = self._rate()
         return ProgressSnapshot(
             name=self.spec.name,
             spec_hash=self.spec.spec_hash(),
-            total=self.total,
+            total=total,
             ok=ok,
             failed=self.failed_count,
             pending=pending,
             cells_per_s=rate,
             eta_s=(pending / rate) if rate and pending else None,
             runtime_s=self._runtime,
-            kind_rows=status_rows_from_ids(
-                self.spec, set(self._ok), set(self._failed)
-            ),
+            kind_rows=self.kind_rows(),
             recent_failures=list(self._recent_failures),
         )
 
@@ -251,15 +281,9 @@ class StreamingAggregator:
         new records since the last refresh re-render their table body.
         """
         failures = self._failure_records()
-        summary = TextTable(["Kind", "Cells", "Completed", "Failed",
-                             "Pending"])
-        for row in status_rows_from_ids(
-            self.spec, set(self._ok), set(self._failed)
-        ):
-            summary.add_row(row)
         report.replace_section(
             "Campaign summary",
-            summary.render(),
+            self.status_table().render(),
             notes=[
                 f"spec hash {self.spec.spec_hash()}, "
                 f"master seed {self.spec.master_seed}",

@@ -1,8 +1,8 @@
 """Experiment drivers: one module per study in the paper.
 
-Each driver reproduces the methodology of one evaluation section and
-returns structured results that benchmarks render as the corresponding
-tables/figures:
+Each driver reproduces the methodology of one evaluation section for
+one cell of its figure (one platform, scenario, size or cap) and
+returns a structured result:
 
 * :mod:`repro.experiments.lag_study` — streaming lag + endpoint RTTs
   (Figs. 2, 4-11),
@@ -21,16 +21,21 @@ Every driver accepts an :class:`ExperimentScale`; ``QUICK_SCALE`` keeps
 benchmark runtimes in seconds, ``PAPER_SCALE`` approaches the paper's
 session counts and durations.
 
-The drivers are one-shot and in-process; :mod:`repro.campaign` layers
-parallel, persistent, resumable grid sweeps over them.
+The drivers are one-shot and in-process.  A figure's grid is a
+campaign: :mod:`repro.campaign` expands it into cells, runs each cell's
+driver with a per-cell seed and stores the serialized results, and the
+per-figure benchmarks build Figs. 12 and 14-19 from those records.
+Table 4 is the exception: :func:`run_table4` runs its conference sizes
+on one shared seed (its saturation reading does not hold under
+per-cell seeds).
 """
 
-from .bandwidth_study import run_bandwidth_cell, run_bandwidth_grid
+from .bandwidth_study import run_bandwidth_cell
 from .dynamics_study import run_dynamics_cell
 from .endpoint_study import run_endpoint_study
 from .lag_study import run_lag_scenario
 from .mobile_study import run_mobile_scenario, run_table4
-from .qoe_study import run_qoe_cell, run_qoe_grid
+from .qoe_study import run_qoe_cell
 from .scale import ExperimentScale, PAPER_SCALE, QUICK_SCALE
 
 __all__ = [
@@ -38,12 +43,10 @@ __all__ = [
     "PAPER_SCALE",
     "QUICK_SCALE",
     "run_bandwidth_cell",
-    "run_bandwidth_grid",
     "run_dynamics_cell",
     "run_endpoint_study",
     "run_lag_scenario",
     "run_mobile_scenario",
     "run_qoe_cell",
-    "run_qoe_grid",
     "run_table4",
 ]

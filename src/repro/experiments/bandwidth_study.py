@@ -10,7 +10,7 @@ mode on the low-motion sessions, which contain only human voice).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -164,30 +164,3 @@ def run_bandwidth_cell(
         download_mbps=float(np.mean(downloads)) / 1e6,
         frames_frozen=frozen_total,
     )
-
-
-def run_bandwidth_grid(
-    platforms: Sequence[str] = ("zoom", "webex", "meet"),
-    motion: str = "high",
-    limits: Sequence[Optional[float]] = RATE_LIMITS,
-    scale: ExperimentScale = QUICK_SCALE,
-    compute_vifp: bool = True,
-) -> List[BandwidthCell]:
-    """The full Figure 17/18 sweep for one motion class."""
-    cells = []
-    for platform_name in platforms:
-        testbed = Testbed(TestbedConfig(seed=scale.seed))
-        for name in ("US-East", "US-East2", "US-Central"):
-            testbed.add_vm(name)
-        for limit in limits:
-            cells.append(
-                run_bandwidth_cell(
-                    platform_name,
-                    motion,
-                    limit,
-                    scale=scale,
-                    testbed=testbed,
-                    compute_vifp=compute_vifp,
-                )
-            )
-    return cells

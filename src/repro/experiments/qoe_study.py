@@ -11,7 +11,7 @@ classes, in the US (host US-east) and in Europe (host CH).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -64,7 +64,6 @@ def run_qoe_cell(
     num_participants: int,
     roster: Sequence[str] = US_ROSTER,
     scale: ExperimentScale = QUICK_SCALE,
-    testbed: Optional[Testbed] = None,
     compute_vifp: bool = True,
 ) -> QoeCell:
     """Run the sessions of one figure cell and aggregate.
@@ -75,17 +74,14 @@ def run_qoe_cell(
         num_participants: The paper's N (2..6 with the default roster).
         roster: Host-first participant list to draw N clients from.
         scale: Sessions/durations profile.
-        testbed: Optional shared deployment.
         compute_vifp: Disable to skip the most expensive metric.
     """
     if num_participants < 2 or num_participants > len(roster):
         raise MeasurementError(
             f"N={num_participants} needs a roster of at least that size"
         )
-    if testbed is None:
-        testbed = Testbed(TestbedConfig(seed=scale.seed))
-        group = "US" if roster[0].startswith("US") else "Europe"
-        testbed.deploy_group(group)
+    testbed = Testbed(TestbedConfig(seed=scale.seed))
+    testbed.deploy_group("US" if roster[0].startswith("US") else "Europe")
     names = list(roster[:num_participants])
     host = names[0]
 
@@ -185,56 +181,3 @@ def run_qoe_cell(
         download_mbps=float(np.mean(downloads)) / 1e6,
         sessions=session_results,
     )
-
-
-def run_qoe_grid(
-    platforms: Sequence[str] = ("zoom", "webex", "meet"),
-    motions: Sequence[str] = ("low", "high"),
-    participant_counts: Sequence[int] = (2, 3, 4),
-    roster: Sequence[str] = US_ROSTER,
-    scale: ExperimentScale = QUICK_SCALE,
-    compute_vifp: bool = True,
-) -> List[QoeCell]:
-    """The full Figure 12/15 grid (or Fig. 16 with the EU roster)."""
-    cells = []
-    for platform_name in platforms:
-        testbed = Testbed(TestbedConfig(seed=scale.seed))
-        group = "US" if roster[0].startswith("US") else "Europe"
-        testbed.deploy_group(group)
-        for motion in motions:
-            for n in participant_counts:
-                cells.append(
-                    run_qoe_cell(
-                        platform_name,
-                        motion,
-                        n,
-                        roster=roster,
-                        scale=scale,
-                        testbed=testbed,
-                        compute_vifp=compute_vifp,
-                    )
-                )
-    return cells
-
-
-def degradation_table(cells: List[QoeCell]) -> Dict[tuple, Dict[str, float]]:
-    """Figure 14: QoE reduction from low- to high-motion feeds.
-
-    Returns (platform, N) -> {psnr/ssim/vifp degradation}.
-    """
-    by_key: Dict[tuple, Dict[str, QoeCell]] = {}
-    for cell in cells:
-        by_key.setdefault((cell.platform, cell.num_participants), {})[
-            cell.motion
-        ] = cell
-    table = {}
-    for key, motions in by_key.items():
-        if "low" not in motions or "high" not in motions:
-            continue
-        low, high = motions["low"], motions["high"]
-        table[key] = {
-            "psnr": low.psnr_mean - high.psnr_mean,
-            "ssim": low.ssim_mean - high.ssim_mean,
-            "vifp": low.vifp_mean - high.vifp_mean,
-        }
-    return table

@@ -11,10 +11,7 @@ from repro.experiments.bandwidth_study import (
 )
 from repro.experiments.lag_study import LAG_SCENARIOS, run_lag_scenario
 from repro.experiments.mobile_study import MobileScenario, run_mobile_scenario
-from repro.experiments.qoe_study import (
-    degradation_table,
-    run_qoe_cell,
-)
+from repro.experiments.qoe_study import run_qoe_cell
 from repro.experiments.scale import ExperimentScale, PAPER_SCALE, QUICK_SCALE
 from repro.media.frames import FrameSpec
 from repro.media.sync import PROBE_FRAMES
@@ -80,13 +77,6 @@ class TestQoeStudy:
     def test_invalid_n_rejected(self):
         with pytest.raises(MeasurementError):
             run_qoe_cell("zoom", "low", 99, scale=FAST)
-
-    def test_degradation_table(self):
-        low = run_qoe_cell("zoom", "low", 3, scale=FAST, compute_vifp=False)
-        high = run_qoe_cell("zoom", "high", 3, scale=FAST, compute_vifp=False)
-        table = degradation_table([low, high])
-        assert ("zoom", 3) in table
-        assert table[("zoom", 3)]["psnr"] > 0  # LM better than HM
 
 
 class TestBandwidthStudy:

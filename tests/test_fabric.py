@@ -12,6 +12,8 @@ import random
 
 import pytest
 
+from repro.analysis.report import ExperimentReport
+from repro.analysis.tables import TextTable
 from repro.campaign import (
     CampaignScheduler,
     FabricConfig,
@@ -20,6 +22,7 @@ from repro.campaign import (
     calibration_campaign,
     open_store,
     run_campaign,
+    status_table,
     watch_store,
 )
 from repro.campaign.fabric.executors import (
@@ -333,11 +336,11 @@ class TestBookkeepingCounts:
         assert json.loads(seen[1])["attempts"] == {}
         assert not os.path.exists(sidecar)
 
-    def test_fresh_run_expands_the_grid_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Patch ``CampaignCell.build``; the list it appends to."""
         from repro.campaign.spec import CampaignCell
 
-        spec = calibration_campaign(cells=12, name="one-expand")
-        cells = spec.cell_count()
         built = []
         build = CampaignCell.build.__func__
 
@@ -347,11 +350,32 @@ class TestBookkeepingCounts:
 
         monkeypatch.setattr(CampaignCell, "build",
                             classmethod(counting_build))
+        return built
+
+    def test_fresh_run_expands_the_grid_once(self, tmp_path, monkeypatch):
+        spec = calibration_campaign(cells=12, name="one-expand")
+        cells = spec.cell_count()
+        built = self.count_builds(monkeypatch)
         summary = run_campaign(spec, str(tmp_path / "once.jsonl"))
         assert summary.executed == cells
         assert len(built) == cells
         assert open_store(str(tmp_path / "once.jsonl")).header()["cells"] \
             == cells
+
+    def test_status_rows_expand_the_grid_once(self, tmp_path, monkeypatch):
+        spec = calibration_campaign(cells=40, name="status-once")
+        path = str(tmp_path / "status.jsonl")
+        run_campaign(spec, path)
+        records = open_store(path).cell_records()
+        built = self.count_builds(monkeypatch)
+        aggregator = StreamingAggregator(spec)
+        for record in records:
+            aggregator.fold(record)
+        snapshots = [aggregator.snapshot() for _ in range(5)]
+        report = aggregator.refresh_report(ExperimentReport("status"))
+        assert len(built) == 40
+        assert snapshots[-1].kind_rows == [["noop", 40, 40, 0, 0]]
+        assert aggregator.status_table().render() in report.render()
 
 
 class TestStreamingAggregation:
@@ -452,6 +476,63 @@ class TestStreamingAggregation:
         # Replaying history in a tight loop must not look like
         # thousands of cells/s to the adaptive shard sizing.
         assert aggregator.cells_per_s is None
+
+    def test_kind_rows_match_a_brute_force_count(self):
+        from repro.campaign import CampaignSpec, CellRecord, ScenarioSpec
+        from repro.campaign.aggregate import KIND_TITLES
+
+        # noop index 2 is in both sweeps: one cell, counted once.
+        spec = CampaignSpec("kind-rows", [
+            ScenarioSpec("noop", {"index": (0, 1, 2)}),
+            ScenarioSpec("noop", {"index": (2, 3)}),
+            ScenarioSpec("endpoints", {"platform": ("zoom", "meet")}),
+        ])
+        cells = spec.expand()
+
+        def record(index, status):
+            cell = cells[index]
+            ok = status == "ok"
+            metrics = ({"index": 0, "value": 1} if cell.kind == "noop"
+                       else {"mean_endpoints_per_client": 1.0})
+            return CellRecord(
+                cell_id=cell.cell_id, kind=cell.kind,
+                params=dict(cell.params), seed=cell.seed,
+                spec_hash=spec.spec_hash(), status=status,
+                metrics=metrics if ok else None,
+                error=None if ok else "boom",
+            )
+
+        records = [
+            record(0, "ok"),
+            record(1, "error"), record(1, "ok"),  # failed, then retried
+            record(2, "error"),
+            record(4, "error"), record(4, "error"),
+        ]
+        ok_ids = {r.cell_id for r in records if r.ok}
+        failed_ids = {r.cell_id for r in records if not r.ok} - ok_ids
+        expected = []
+        for kind in KIND_TITLES:
+            kind_cells = [c for c in cells if c.kind == kind]
+            if kind_cells:
+                done = sum(c.cell_id in ok_ids for c in kind_cells)
+                failed = sum(c.cell_id in failed_ids for c in kind_cells)
+                expected.append([kind, len(kind_cells), done, failed,
+                                 len(kind_cells) - done])
+        assert expected == [["endpoints", 2, 0, 1, 2],
+                            ["noop", 4, 2, 1, 2]]
+        expected_table = TextTable(["Kind", "Cells", "Completed", "Failed",
+                                    "Pending"])
+        for row in expected:
+            expected_table.add_row(row)
+        for seed in range(4):
+            shuffled = list(records)
+            random.Random(seed).shuffle(shuffled)
+            aggregator = StreamingAggregator(spec)
+            for item in shuffled:
+                aggregator.fold(item)
+            assert aggregator.snapshot().kind_rows == expected
+            assert status_table(spec, shuffled).render() \
+                == expected_table.render()
 
     def test_kind_deltas_dirty_tracking(self):
         spec = calibration_campaign(cells=3, name="deltas")
