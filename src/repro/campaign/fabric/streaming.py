@@ -104,10 +104,13 @@ class StreamingAggregator:
     def fold(self, record: CellRecord,
              arrival: Optional[float] = None) -> None:
         """Absorb one cell record (from the scheduler or a store tail)."""
-        self._runtime += record.duration_s
         self._arrivals.append(
             arrival if arrival is not None else time.monotonic()
         )
+        self._absorb(record)
+
+    def _absorb(self, record: CellRecord) -> None:
+        self._runtime += record.duration_s
         if record.ok:
             self._ok_folds += 1
             if record.cell_id not in self._ok:
@@ -138,13 +141,16 @@ class StreamingAggregator:
     def seed(self, records: "List[CellRecord]") -> None:
         """Fold records already persisted (resume / late attach).
 
-        Seeded records share one arrival instant: replaying history in
-        a tight loop must not fabricate a throughput estimate (the
-        scheduler sizes work units from :attr:`cells_per_s`).
+        History counts as one arrival, at the time of the seed:
+        replaying it in a tight loop must not fabricate a throughput
+        estimate (the scheduler sizes work units from
+        :attr:`cells_per_s`), and the first live record after it reads
+        one cell over the time since the seed.
         """
-        now = time.monotonic()
         for record in records:
-            self.fold(record, arrival=now)
+            self._absorb(record)
+        if records:
+            self._arrivals.append(time.monotonic())
 
     # -- progress --------------------------------------------------------
 
@@ -170,8 +176,8 @@ class StreamingAggregator:
     def cells_per_s(self) -> Optional[float]:
         """Completion rate over the recent arrival window.
 
-        ``None`` until two records have arrived (or when they all
-        landed in the same instant, e.g. a resume seed).  The scheduler
+        ``None`` until two arrivals (a resume seed is one) or when
+        they all landed in the same instant.  The scheduler
         reads this to size worker units adaptively.
         """
         return self._rate()

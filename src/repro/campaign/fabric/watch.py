@@ -167,8 +167,13 @@ def watch_store(
     ticks = 0
     while True:
         records, cursor = store.tail(cursor)
-        for record in records:
-            aggregator.fold(record)
+        if ticks == 0:
+            # History replays in a tight loop: seed it at one instant,
+            # so no throughput or ETA is made up from the replay.
+            aggregator.seed(records)
+        else:
+            for record in records:
+                aggregator.fold(record)
         snapshot = aggregator.snapshot()
         # The first tick folds history, so it only sets the movement
         # baseline; later ticks print what landed since the previous

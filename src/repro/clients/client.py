@@ -26,6 +26,14 @@ from .receiver import ReceiverEngine
 #: The port every emulated client receives media on.
 MEDIA_PORT = 40404
 
+#: Hoisted enum members for the per-packet dispatch: an Enum member
+#: read goes through the metaclass's slow attribute path.
+_MEDIA_VIDEO = PacketKind.MEDIA_VIDEO
+_MEDIA_AUDIO = PacketKind.MEDIA_AUDIO
+_PROBE = PacketKind.PROBE
+_PROBE_REPLY = PacketKind.PROBE_REPLY
+_FEEDBACK = PacketKind.FEEDBACK
+
 
 class BaseClient:
     """One emulated participant: host + media port + engines.
@@ -120,18 +128,19 @@ class BaseClient:
         self._feedback_sinks.append(sink)
 
     def _on_packet(self, packet: Packet, host: Host) -> None:
-        if packet.kind is PacketKind.PROBE:
+        kind = packet.kind
+        if kind is _MEDIA_VIDEO or kind is _MEDIA_AUDIO:
+            self.receiver.on_media(packet)
+            return
+        if kind is _PROBE:
             # Peer-to-peer sessions are probed directly (Zoom N=2);
             # clients answer like the relay would.
-            host.send(packet.reply_template(20, PacketKind.PROBE_REPLY))
+            host.send(packet.reply_template(20, _PROBE_REPLY))
             return
-        if packet.kind is PacketKind.FEEDBACK:
+        if kind is _FEEDBACK:
             report = dict(packet.metadata)
             for sink in self._feedback_sinks:
                 sink(packet.flow_id, report)
-            return
-        if packet.kind in (PacketKind.MEDIA_VIDEO, PacketKind.MEDIA_AUDIO):
-            self.receiver.on_media(packet)
 
     # ----------------------------------------------------------------- #
     # Monitoring.

@@ -26,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Fraction of a frame's fragments FEC/NACK recovery can absorb.
 DEFAULT_FEC_TOLERANCE = 0.2
 
+#: Hoisted enum member: ``on_media`` runs per delivered packet, and an
+#: Enum member read goes through the metaclass's slow attribute path.
+_MEDIA_AUDIO = PacketKind.MEDIA_AUDIO
+
 
 @dataclass
 class FlowStats:
@@ -170,7 +174,7 @@ class ReceiverEngine:
             # packets now carry it in a dedicated slot.
             seq = int(packet.metadata.get("seq", stats.max_seq + 1))
         stats.on_packet(seq, packet.payload_bytes)
-        if packet.kind is PacketKind.MEDIA_AUDIO:
+        if packet.kind is _MEDIA_AUDIO:
             self._on_audio(packet)
             return
         self._on_video(packet)

@@ -71,14 +71,15 @@ class _SenderBase:
             raise SessionError("sender needs a wired session")
         self.client = client
         self.wiring = wiring
+        # A client's host and its network never change: ``_emit`` runs
+        # per packet, so it reads both from here, not through
+        # ``client.host.network``.
+        self._host = client.host
+        self.simulator = client.host.network.simulator
         self._seq: Dict[str, int] = {}
         self.packets_sent = 0
         self.bytes_sent = 0
         self._stop_at: Optional[float] = None
-
-    @property
-    def simulator(self):
-        return self.client.host.network.simulator
 
     def _emit(
         self,
@@ -108,9 +109,9 @@ class _SenderBase:
         self.packets_sent += 1
         self.bytes_sent += payload_bytes
         if delay > 0:
-            self.simulator.schedule(delay, self.client.host.send, packet)
+            self.simulator.schedule(delay, self._host.send, packet)
         else:
-            self.client.host.send(packet)
+            self._host.send(packet)
 
     def _emit_paced(
         self,

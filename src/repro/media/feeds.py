@@ -67,9 +67,15 @@ class LowMotionFeed(FrameSource):
         self._head_texture = smooth_noise_texture(
             self._rng_for(2), spec.shape, smoothness=3.0, low=120, high=230
         )
-        yy, xx = np.mgrid[0 : spec.height, 0 : spec.width]
-        self._yy = yy.astype(np.float64)
-        self._xx = xx.astype(np.float64)
+        # ``(H, 1)`` and ``(1, W)`` coordinate vectors: each shape test
+        # broadcasts them over the full frame, so no float64 coordinate
+        # planes are kept.
+        self._ys = np.arange(spec.height, dtype=np.float64)[:, None]
+        self._xs = np.arange(spec.width, dtype=np.float64)[None, :]
+        # Shoulders: a static trapezoid below the head.
+        self._shoulders = (self._ys > spec.height * 0.66) & (
+            np.abs(self._xs - spec.width * 0.5) < spec.width * 0.28
+        )
 
     def frame(self, index: int) -> np.ndarray:
         spec = self.spec
@@ -84,13 +90,10 @@ class LowMotionFeed(FrameSource):
             2.0 * np.pi * 0.3 * t + 1.0
         )
         ry, rx = spec.height * 0.22, spec.width * 0.14
-        head = ((self._yy - cy) / ry) ** 2 + ((self._xx - cx) / rx) ** 2 <= 1.0
+        head = ((self._ys - cy) / ry) ** 2 + ((self._xs - cx) / rx) ** 2 <= 1.0
         frame[head] = self._head_texture[head]
 
-        # Shoulders: a static trapezoid below the head.
-        shoulders = (self._yy > spec.height * 0.66) & (
-            np.abs(self._xx - spec.width * 0.5) < spec.width * 0.28
-        )
+        shoulders = self._shoulders
         frame[shoulders] = 0.5 * frame[shoulders] + 45.0
 
         # Occasional hand gesture: a bright blob sweeping sideways.
@@ -100,7 +103,7 @@ class LowMotionFeed(FrameSource):
             gx = spec.width * (0.30 + 0.4 * progress)
             gy = spec.height * 0.8
             radius = spec.width * 0.05
-            blob = ((self._yy - gy) ** 2 + (self._xx - gx) ** 2) <= radius**2
+            blob = ((self._ys - gy) ** 2 + (self._xs - gx) ** 2) <= radius**2
             frame[blob] = 235.0
         return to_uint8(frame)
 
@@ -132,9 +135,8 @@ class HighMotionFeed(FrameSource):
         self.scene_duration_s = scene_duration_s
         self.num_objects = num_objects
         self._scene_cache: dict[int, np.ndarray] = {}
-        yy, xx = np.mgrid[0 : spec.height, 0 : spec.width]
-        self._yy = yy.astype(np.float64)
-        self._xx = xx.astype(np.float64)
+        self._ys = np.arange(spec.height, dtype=np.float64)[:, None]
+        self._xs = np.arange(spec.width, dtype=np.float64)[None, :]
 
     def _scene_texture(self, scene_index: int) -> np.ndarray:
         """A wide texture for one scene; cached, panned by column roll."""
@@ -174,7 +176,7 @@ class HighMotionFeed(FrameSource):
             ox = (x0 + vx * within) % spec.width
             oy = (y0 + vy * within) % spec.height
             radius = spec.width * 0.04
-            blob = ((self._yy - oy) ** 2 + (self._xx - ox) ** 2) <= radius**2
+            blob = ((self._ys - oy) ** 2 + (self._xs - ox) ** 2) <= radius**2
             frame[blob] = brightness
         return to_uint8(frame)
 

@@ -51,14 +51,14 @@ def add_padding(
     """Surround a frame with a uniform border (Fig. 13 preparation)."""
     if frame.ndim != 2:
         raise MediaError("expected a single-channel (H, W) frame")
-    pad_h = pad_size(frame.shape[0], pad_fraction)
-    pad_w = pad_size(frame.shape[1], pad_fraction)
-    return np.pad(
-        frame,
-        ((pad_h, pad_h), (pad_w, pad_w)),
-        mode="constant",
-        constant_values=PAD_VALUE,
+    height, width = frame.shape
+    pad_h = pad_size(height, pad_fraction)
+    pad_w = pad_size(width, pad_fraction)
+    padded = np.full(
+        (height + 2 * pad_h, width + 2 * pad_w), PAD_VALUE, dtype=frame.dtype
     )
+    padded[pad_h : pad_h + height, pad_w : pad_w + width] = frame
+    return padded
 
 
 def crop_padding(

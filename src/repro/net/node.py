@@ -25,6 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Signature of a bound port handler.
 PacketHandler = Callable[[Packet, "Host"], None]
 
+#: Hoisted enum members: ``send`` and ``deliver`` run per packet, and an
+#: Enum member read goes through the metaclass's slow attribute path.
+_OUT = Direction.OUT
+_IN = Direction.IN
+
 
 class Host:
     """One machine attached to the simulated network.
@@ -138,8 +143,8 @@ class Host:
         if self._captures:
             local = self.clock.local_time(now)
             for capture in self._captures:
-                capture.record(packet, Direction.OUT, local)
-        network.transmit(packet)
+                capture.record(packet, _OUT, local)
+        network.transmit(packet, self)
 
     def deliver(self, packet: Packet) -> None:
         """Called by the fabric when a packet arrives for this host."""
@@ -147,7 +152,7 @@ class Host:
         if self._captures:
             local = self.clock.local_time(self._network.simulator._now)
             for capture in self._captures:
-                capture.record(packet, Direction.IN, local)
+                capture.record(packet, _IN, local)
         handler = self._handlers.get(packet.dst.port)
         if handler is None:
             self.packets_unhandled += 1

@@ -243,14 +243,15 @@ class Network:
         source.fast_plans[destination.ip] = plan
         return plan
 
-    def transmit(self, packet: Packet) -> None:
-        """Entry point used by :meth:`Host.send`."""
+    def transmit(self, packet: Packet, source: Host) -> None:
+        """Entry point used by :meth:`Host.send`.
+
+        ``source`` is the sending host: :meth:`Host.send` passes itself
+        after checking the packet's source ip, so no per-packet lookup
+        by ip is needed.
+        """
         hosts = self._hosts_by_ip
-        src_ip = packet.src.ip
         dst_ip = packet.dst.ip
-        source = hosts.get(src_ip)
-        if source is None:
-            raise RoutingError(f"no host with ip {src_ip!r}")
         destination = hosts.get(dst_ip)
         if destination is None:
             raise RoutingError(f"no route to {dst_ip!r}")
@@ -303,13 +304,14 @@ class Network:
         base, scale = self._path_params(source, destination)
         delay = base
         delay += source_link.extra_latency_s + destination_link.extra_latency_s
+        # ``scale * standard_gamma(shape)`` is how numpy computes
+        # ``gamma(shape, scale)``: the same draw, without the keyword
+        # call and the float conversion.
         if scale > 0:
-            delay += float(rng.gamma(shape=2.0, scale=scale / 2.0))
+            delay += scale / 2.0 * rng.standard_gamma(2.0)
         for link in (source_link, destination_link):
             if link.extra_jitter_s > 0:
-                delay += float(
-                    rng.gamma(shape=2.0, scale=link.extra_jitter_s / 2.0)
-                )
+                delay += link.extra_jitter_s / 2.0 * rng.standard_gamma(2.0)
         now = self.simulator._now
         arrival = now + delay
         # Receiver-side fusion: no draw, no shaper, and no scripted

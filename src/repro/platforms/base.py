@@ -28,6 +28,14 @@ from .endpoints import EndpointDirectory
 from .ratecontrol import AdaptationPolicy, RateContext, SenderRateState
 
 
+#: Hoisted enum members for the relay's per-packet dispatch: an Enum
+#: member read goes through the metaclass's slow attribute path.
+_PROBE = PacketKind.PROBE
+_PROBE_REPLY = PacketKind.PROBE_REPLY
+_FEEDBACK = PacketKind.FEEDBACK
+_SIGNALING = PacketKind.SIGNALING
+
+
 class StreamLayer(str, enum.Enum):
     """Simulcast layers a sender may encode.
 
@@ -108,6 +116,7 @@ class ServiceRelay:
         self.port = port
         self.timing = timing
         self.rng = rng
+        self._simulator = host.network.simulator
         self._routes: Dict[str, Tuple[Tuple[Address, float], ...]] = {}
         self._feedback_next_hop: Dict[str, Address] = {}
         self._session_load: Dict[str, float] = {}
@@ -189,32 +198,35 @@ class ServiceRelay:
     # ----------------------------------------------------------------- #
 
     def _handle(self, packet: Packet, host: Host) -> None:
-        if packet.kind is PacketKind.PROBE:
+        kind = packet.kind
+        if kind is _PROBE:
             self.probes_answered += 1
-            reply = packet.reply_template(
-                payload_bytes=20, kind=PacketKind.PROBE_REPLY
-            )
-            host.network.simulator.schedule(
+            reply = packet.reply_template(payload_bytes=20, kind=_PROBE_REPLY)
+            self._simulator.schedule(
                 self.timing.probe_delay_s, host.send, reply
             )
             return
-        if packet.kind is PacketKind.FEEDBACK:
+        if kind is _FEEDBACK:
             next_hop = self._feedback_next_hop.get(packet.flow_id)
             if next_hop is not None:
                 host.send(packet.forwarded_to(self._address, next_hop))
             return
-        if packet.kind is PacketKind.SIGNALING:
+        if kind is _SIGNALING:
             return  # joins/leaves are acknowledged implicitly
         destinations = self._routes.get(packet.flow_id)
         if not destinations:
             return
         session_id = packet.flow_id.split("|", 1)[0]
+        timing = self.timing
+        # ``scale * standard_exponential()`` is how numpy computes
+        # ``exponential(scale)``: the same draw, without the call
+        # overhead and the float conversion.
         delay = (
-            self.timing.base_delay_s
+            timing.base_delay_s
             + self._session_load.get(session_id, 0.0)
-            + float(self.rng.exponential(self.timing.jitter_scale_s))
+            + timing.jitter_scale_s * self.rng.standard_exponential()
         )
-        host.network.simulator.schedule(delay, self._forward, packet, destinations)
+        self._simulator.schedule(delay, self._forward, packet, destinations)
 
     def _forward(
         self, packet: Packet, destinations: Tuple[Tuple[Address, float], ...]

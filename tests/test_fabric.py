@@ -9,6 +9,7 @@ mocks.
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -476,6 +477,11 @@ class TestStreamingAggregation:
         # Replaying history in a tight loop must not look like
         # thousands of cells/s to the adaptive shard sizing.
         assert aggregator.cells_per_s is None
+        # Nor may it pad the rate of the first live record: one cell
+        # five seconds after the seed is 0.2 cells/s.
+        aggregator.fold(self.record_of(spec, spec.expand()[0]),
+                        arrival=time.monotonic() + 5.0)
+        assert aggregator.cells_per_s == pytest.approx(0.2, rel=1e-3)
 
     def test_kind_rows_match_a_brute_force_count(self):
         from repro.campaign import CampaignSpec, CellRecord, ScenarioSpec
@@ -580,6 +586,71 @@ class TestWatch:
         )
         assert snapshot.complete  # completes on the first tick
         assert "3/3 ok" in stream.getvalue()
+
+    def test_watch_first_tick_reports_no_replay_rate(self, tmp_path, capsys):
+        """The first tick replays history; it must not time the replay."""
+        from repro.campaign import smoke_campaign
+
+        path = str(tmp_path / "smoke.jsonl")
+        run_campaign(smoke_campaign(), path, workers=1)
+        capsys.readouterr()
+        snapshot = watch_store(path, once=True)
+        assert snapshot.complete and snapshot.ok == 5
+        assert snapshot.cells_per_s is None
+        assert "rate n/a" in capsys.readouterr().out
+
+    def test_watch_second_tick_rates_only_live_records(self, tmp_path):
+        import io
+        import threading
+
+        from repro.campaign import CellRecord
+
+        spec = calibration_campaign(cells=4, name="live-rate")
+        cells = spec.expand()
+        path = str(tmp_path / "r.jsonl")
+        writer = open_store(path)
+        writer.initialise(spec)
+        for cell in cells:
+            record = CellRecord(
+                cell_id=cell.cell_id, kind=cell.kind,
+                params=dict(cell.params), seed=cell.seed,
+                spec_hash=spec.spec_hash(),
+                metrics={"index": cell.params["index"], "value": 1},
+            )
+            if cell is cells[-1]:
+                last = record
+            else:
+                writer.append_cell(record)
+        writer.flush()
+
+        first_tick = threading.Event()
+
+        class TickStream(io.StringIO):
+            def write(self, text):
+                result = super().write(text)
+                first_tick.set()
+                return result
+
+        def finish():
+            # One live cell at least 0.2 s after the history seed.
+            first_tick.wait(timeout=10.0)
+            time.sleep(0.2)
+            writer.append_cell(last)
+            writer.close()
+
+        appender = threading.Thread(target=finish)
+        appender.start()
+        stream = TickStream()
+        try:
+            snapshot = watch_store(
+                path, interval_s=0.02, stream=stream, max_ticks=500
+            )
+        finally:
+            appender.join()
+        assert snapshot.complete
+        # Counting the three replayed records too would read >= 15.
+        assert 0 < snapshot.cells_per_s <= 1 / 0.2
+        assert "rate n/a" in stream.getvalue().split("campaign 'live-rate'")[1]
 
     def test_watch_missing_store_errors(self, tmp_path):
         with pytest.raises(CampaignError):

@@ -141,3 +141,119 @@ class TestFeedValidation:
     def test_high_motion_object_count(self, small_spec):
         with pytest.raises(ConfigurationError):
             HighMotionFeed(small_spec, num_objects=-1)
+
+
+def _full_grid_low_motion(feed, index):
+    """``LowMotionFeed.frame`` as written over full-frame ``mgrid`` planes."""
+    spec = feed.spec
+    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width]
+    yy = yy.astype(np.float64)
+    xx = xx.astype(np.float64)
+    t = index / spec.fps
+    frame = feed._background.copy()
+    cy = spec.height * 0.42 + feed.bob_amplitude_px * np.sin(
+        2.0 * np.pi * 0.5 * t
+    )
+    cx = spec.width * 0.5 + feed.bob_amplitude_px * 0.6 * np.sin(
+        2.0 * np.pi * 0.3 * t + 1.0
+    )
+    ry, rx = spec.height * 0.22, spec.width * 0.14
+    head = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+    frame[head] = feed._head_texture[head]
+    shoulders = (yy > spec.height * 0.66) & (
+        np.abs(xx - spec.width * 0.5) < spec.width * 0.28
+    )
+    frame[shoulders] = 0.5 * frame[shoulders] + 45.0
+    phase = t % feed.gesture_period_s
+    if phase < feed.gesture_duration_s:
+        progress = phase / feed.gesture_duration_s
+        gx = spec.width * (0.30 + 0.4 * progress)
+        gy = spec.height * 0.8
+        radius = spec.width * 0.05
+        blob = ((yy - gy) ** 2 + (xx - gx) ** 2) <= radius**2
+        frame[blob] = 235.0
+    return to_uint8(frame)
+
+
+def _full_grid_high_motion(feed, index):
+    """``HighMotionFeed.frame`` as written over full-frame ``mgrid`` planes."""
+    spec = feed.spec
+    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width]
+    yy = yy.astype(np.float64)
+    xx = xx.astype(np.float64)
+    frames_per_scene = max(1, int(feed.scene_duration_s * spec.fps))
+    scene_index = index // frames_per_scene
+    within = index % frames_per_scene
+    texture = feed._scene_texture(scene_index)
+    offset = int(within * feed.pan_speed_px) % spec.width
+    frame = texture[:, offset : offset + spec.width].copy()
+    rng = feed._rng_for(500 + scene_index)
+    for _obj in range(feed.num_objects):
+        x0 = rng.uniform(0, spec.width)
+        y0 = rng.uniform(0, spec.height)
+        vx = rng.uniform(-6, 6)
+        vy = rng.uniform(-4, 4)
+        brightness = rng.uniform(200, 255)
+        ox = (x0 + vx * within) % spec.width
+        oy = (y0 + vy * within) % spec.height
+        radius = spec.width * 0.04
+        blob = ((yy - oy) ** 2 + (xx - ox) ** 2) <= radius**2
+        frame[blob] = brightness
+    return to_uint8(frame)
+
+
+#: At 30 fps: 0-14 and 120-134 fall in the 0.5 s gesture windows of a
+#: 4 s period, 15-119 outside; 89/90 and 179/180 straddle scene cuts.
+EXACT_INDICES = [0, 7, 14, 15, 60, 89, 90, 91, 120, 127, 179, 180]
+
+EXACT_GEOMETRIES = [(16, 16), (17, 33), (33, 17), (64, 48), (97, 61)]
+
+
+class TestFeedExactness:
+    """Broadcast coordinate vectors paint exactly the full-grid pixels."""
+
+    @pytest.mark.parametrize("width,height", EXACT_GEOMETRIES)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_low_motion_matches_full_grid(self, width, height, seed):
+        feed = LowMotionFeed(FrameSpec(width, height, 30), seed=seed)
+        for index in EXACT_INDICES:
+            np.testing.assert_array_equal(
+                feed.frame(index), _full_grid_low_motion(feed, index)
+            )
+
+    @pytest.mark.parametrize("width,height", EXACT_GEOMETRIES)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_high_motion_matches_full_grid(self, width, height, seed):
+        feed = HighMotionFeed(FrameSpec(width, height, 30), seed=seed)
+        for index in EXACT_INDICES:
+            np.testing.assert_array_equal(
+                feed.frame(index), _full_grid_high_motion(feed, index)
+            )
+
+    def test_high_motion_revisited_scene_matches(self, small_spec):
+        # Scene textures are cached and evicted: going back to an
+        # earlier scene after others must give the same frame again.
+        feed = HighMotionFeed(small_spec, seed=2)
+        first = feed.frame(3)
+        for index in range(0, 40 * int(3 * small_spec.fps), 29):
+            feed.frame(index)
+        np.testing.assert_array_equal(feed.frame(3), first)
+        np.testing.assert_array_equal(first, _full_grid_high_motion(feed, 3))
+
+    @pytest.mark.parametrize("pad_fraction", [0.0, 0.1, 0.15, 0.3])
+    @pytest.mark.parametrize("width,height", [(16, 16), (17, 33), (64, 48)])
+    def test_add_padding_matches_np_pad(self, pad_fraction, width, height):
+        from repro.media.padding import PAD_VALUE, add_padding, pad_size
+
+        frame = HighMotionFeed(FrameSpec(width, height, 30), seed=1).frame(4)
+        pad_h = pad_size(height, pad_fraction)
+        pad_w = pad_size(width, pad_fraction)
+        expected = np.pad(
+            frame,
+            ((pad_h, pad_h), (pad_w, pad_w)),
+            mode="constant",
+            constant_values=PAD_VALUE,
+        )
+        padded = add_padding(frame, pad_fraction)
+        assert padded.dtype == expected.dtype
+        np.testing.assert_array_equal(padded, expected)

@@ -10,6 +10,7 @@ up as a count that grows with the number of packets, not as a timing.
 
 from __future__ import annotations
 
+import dis
 import itertools
 
 import numpy as np
@@ -17,12 +18,16 @@ import pytest
 
 import repro.net.packet as packet_mod
 from repro.clients import receiver as receiver_module
+from repro.clients.client import BaseClient
 from repro.clients.receiver import ReceiverEngine
+from repro.clients.streamer import _SenderBase
 from repro.core.session import SessionConfig
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.media.frames import FrameSpec
 from repro.net.address import Address
+from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
+from repro.net.routing import Network
 from repro.net.simulator import Simulator
 from repro.platforms.base import RelayTiming, ServiceRelay
 
@@ -122,6 +127,81 @@ class TestSessionCounts:
         # Streamer ticks and probes still read the property; the
         # per-packet send, transmit, propagate and deliver stages don't.
         assert reads[0] * 10 < packets
+
+    def test_packet_path_reads_no_network_property(self):
+        reads = [0]
+        network = Host.network.fget
+
+        def counted(host):
+            reads[0] += 1
+            return network(host)
+
+        packets = _run_model_session(
+            2.0,
+            lambda monkeypatch: monkeypatch.setattr(
+                Host, "network", property(counted)
+            ),
+        )
+        # Session wiring, feedback ticks and probes still read it; the
+        # relay and the senders keep their simulator from construction.
+        assert packets > 2000
+        assert reads[0] * 10 < packets
+
+
+#: Per-packet stages: each runs once per packet or per relayed copy.
+PER_PACKET_STAGES = [
+    Host.send,
+    Host.deliver,
+    Network.transmit,
+    Network._propagate,
+    Network._fast_deliver,
+    ServiceRelay._handle,
+    ServiceRelay._forward,
+    BaseClient._on_packet,
+    ReceiverEngine.on_media,
+    ReceiverEngine._on_video,
+    _SenderBase._emit,
+]
+
+
+@pytest.mark.parametrize(
+    "stage", PER_PACKET_STAGES, ids=lambda stage: stage.__qualname__
+)
+def test_per_packet_stage_reads_no_enum_class(stage):
+    """Enum members come from module aliases on the packet path.
+
+    A member read such as ``PacketKind.PROBE`` goes through the Enum
+    metaclass's slow attribute lookup, several times the cost of a
+    module global; these stages run per packet.
+    """
+    loaded = {
+        instruction.argval
+        for instruction in dis.get_instructions(stage)
+        if instruction.opname == "LOAD_GLOBAL"
+    }
+    assert not loaded & {"PacketKind", "Direction", "StreamLayer"}
+
+
+@pytest.mark.parametrize("scale", [0.0004, 0.0015, 0.02])
+def test_scaled_standard_draws_equal_numpy_scaled_draws(scale):
+    """The packet path's draw forms are numpy's own arithmetic.
+
+    ``_propagate`` draws jitter as ``scale * standard_gamma(2.0)`` and
+    the relay its delay as ``scale * standard_exponential()``; numpy
+    computes ``gamma``/``exponential`` as exactly those products, so the
+    draws (and every stream position after them) are the same.  The
+    lognormal draws interleave as the streamers' frame sizes do.
+    """
+    reference = np.random.default_rng(2024)
+    hoisted = np.random.default_rng(2024)
+    for _ in range(2000):
+        assert float(reference.gamma(shape=2.0, scale=scale)) == (
+            scale * hoisted.standard_gamma(2.0)
+        )
+        assert float(reference.exponential(scale)) == (
+            scale * hoisted.standard_exponential()
+        )
+        assert reference.lognormal(0.0, 0.25) == hoisted.lognormal(0.0, 0.25)
 
 
 @pytest.fixture
