@@ -52,10 +52,6 @@ class ExperimentReport:
         self._sections.append(section)
         return section
 
-    def has_section(self, title: str) -> bool:
-        """Whether a section with this title exists."""
-        return any(s.title == title for s in self._sections)
-
     def replace_section(
         self, title: str, body: str, notes: Sequence[str] = ()
     ) -> ReportSection:

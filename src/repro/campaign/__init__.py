@@ -10,9 +10,9 @@ campaign:
 * :mod:`repro.campaign.registry` -- uniform adapters dispatching cells
   to the experiment drivers and serializing their results,
 * :mod:`repro.campaign.store` / :mod:`~repro.campaign.stores` -- the
-  append-only JSONL result store (:func:`open_store`), with spec-hash
-  integrity checking, a configurable :class:`DurabilityPolicy` and
-  crash-safe compaction,
+  one result store, :class:`CampaignStore`: an append-only JSONL file
+  (:func:`open_store`) with spec-hash integrity checking, a
+  configurable fsync cadence and crash-safe compaction,
 * :mod:`repro.campaign.fabric` -- the campaign fabric: sharded
   scheduling in-process or over owned, crash-recovering worker
   processes, per-cell retry/timeout, durable checkpoints, streaming
@@ -88,11 +88,8 @@ from .spec import (
 )
 from .store import (
     CampaignStore,
-    CampaignStoreBase,
     CellRecord,
-    DurabilityPolicy,
     GcStats,
-    JsonlCampaignStore,
 )
 from .stores import open_store
 
@@ -104,17 +101,14 @@ __all__ = [
     "CampaignScheduler",
     "CampaignSpec",
     "CampaignStore",
-    "CampaignStoreBase",
     "CellRecord",
     "ChaosCaseResult",
-    "DurabilityPolicy",
     "FAULT_CLASSES",
     "FabricConfig",
     "FaultPlan",
     "FaultSpec",
     "GcSelfCheckResult",
     "GcStats",
-    "JsonlCampaignStore",
     "KIND_TABLES",
     "KNOWN_KINDS",
     "ProgressSnapshot",

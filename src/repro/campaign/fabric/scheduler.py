@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...errors import CampaignError
 from ..runner import CampaignRunSummary, ProgressFn, _cell_payload
 from ..spec import CampaignSpec
-from ..store import DurabilityPolicy, CellRecord
+from ..store import CellRecord
 from ..stores import open_store
 from .executors import (
     CellDone,
@@ -66,6 +66,9 @@ ADAPTIVE_UNIT_SECONDS = 2.0
 #: Hard cap on cells per unit, so one unit never monopolises a worker.
 MAX_SHARD_SIZE = 16
 
+#: Seconds one executor poll (or backoff wait) blocks at most.
+POLL_INTERVAL_S = 0.25
+
 
 @dataclass(frozen=True)
 class FabricConfig:
@@ -81,9 +84,8 @@ class FabricConfig:
             record.
         cell_timeout_s: Per-cell wall-clock budget (``None``: no
             timeout).
-        durability: Store durability policy (``None``: fsync every
-            record).
-        poll_interval_s: Executor poll granularity.
+        fsync_every: Store appends per fsync (``1``: every record,
+            ``0``: only on close).
         backoff_base_s: First-retry backoff scale; retries wait
             ``min(cap, base * 2**(attempt-1))`` scaled by a
             deterministic jitter in ``[0.5, 1.0)`` derived from
@@ -101,8 +103,7 @@ class FabricConfig:
     workers: int = 1
     max_attempts: int = 2
     cell_timeout_s: Optional[float] = None
-    durability: "DurabilityPolicy | int | None" = None
-    poll_interval_s: float = 0.25
+    fsync_every: int = 1
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     poison_threshold: int = 3
@@ -285,7 +286,7 @@ class CampaignScheduler:
             # worker-only fault sites never SIGKILL the orchestrator.
             from .faults import PARENT_PID_ENV
             os.environ.setdefault(PARENT_PID_ENV, str(os.getpid()))
-        store = open_store(self.store_path, durability=config.durability)
+        store = open_store(self.store_path, fsync_every=config.fsync_every)
         # The one grid expansion of the run: it also sizes the header
         # and the aggregator's per-kind progress totals.
         cells = self.spec.expand()
@@ -416,10 +417,10 @@ class CampaignScheduler:
                 if not self._executor.outstanding():
                     # Everything left is waiting out a backoff.
                     next_ready = min(t for t, _ in self._backoff)
-                    time.sleep(min(config.poll_interval_s,
+                    time.sleep(min(POLL_INTERVAL_S,
                                    max(0.0, next_ready - now)))
                     continue
-                events = self._executor.poll(config.poll_interval_s)
+                events = self._executor.poll(POLL_INTERVAL_S)
                 saw_done = False
                 saw_death = False
                 for event in events:

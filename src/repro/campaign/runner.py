@@ -30,7 +30,7 @@ from ..errors import CampaignError
 from ..experiments.scale import ExperimentScale
 from .registry import get_adapter
 from .spec import CampaignCell, CampaignSpec
-from .store import DurabilityPolicy, CellRecord
+from .store import CellRecord
 
 #: Progress callback: (record, done_count, total_count).
 ProgressFn = Callable[[CellRecord, int, int], None]
@@ -136,7 +136,7 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     max_attempts: int = 2,
     cell_timeout_s: Optional[float] = None,
-    durability: Optional[DurabilityPolicy] = None,
+    fsync_every: int = 1,
     backoff_base_s: float = 0.05,
     backoff_cap_s: float = 2.0,
     poison_threshold: int = 3,
@@ -157,8 +157,8 @@ def run_campaign(
             their own).
         cell_timeout_s: Per-cell wall-clock budget; exceeding it kills
             the worker and consumes one attempt.
-        durability: Store durability policy (default: fsync on every
-            record).
+        fsync_every: Store appends per fsync (default: fsync every
+            record; ``0``: only on close).
         backoff_base_s: First-retry backoff scale (retries wait an
             exponentially-growing, deterministically-jittered delay).
         backoff_cap_s: Upper bound the retry backoff saturates at.
@@ -185,7 +185,7 @@ def run_campaign(
         workers=workers,
         max_attempts=max_attempts,
         cell_timeout_s=cell_timeout_s,
-        durability=durability,
+        fsync_every=fsync_every,
         backoff_base_s=backoff_base_s,
         backoff_cap_s=backoff_cap_s,
         poison_threshold=poison_threshold,

@@ -1,4 +1,4 @@
-"""Persistent result stores for measurement campaigns.
+"""The persistent result store of a measurement campaign.
 
 A campaign store holds one header record (the campaign spec and its
 content hash) plus one record per finished cell.  The header hash is
@@ -7,15 +7,11 @@ that created it, and a crash mid-campaign loses at most the in-flight
 cell -- every completed cell survives, so ``resume`` is a set
 difference between the spec's expansion and the ids already persisted.
 
-This module defines the :class:`CellRecord` schema, the
-:class:`DurabilityPolicy`, the :class:`CampaignStoreBase` interface
-(spec-shaped behaviour: initialise, header caching, spec verification,
-record hydration, hardened appends) and its one backend, the
-append-only JSONL file (:class:`JsonlCampaignStore`).
+This module defines the :class:`CellRecord` schema and the one store,
+:class:`CampaignStore`: an append-only JSONL file with torn-tail
+healing, a configurable fsync cadence, bounded retries on transient
+append errors and atomic compaction.
 :func:`repro.campaign.stores.open_store` opens a store by path.
-
-``CampaignStore`` remains an alias of the JSONL backend so existing
-callers (and stores on disk) keep working unchanged.
 """
 
 from __future__ import annotations
@@ -24,18 +20,8 @@ import errno as errno_mod
 import json
 import os
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..errors import CampaignError, StoreIntegrityError
 from .spec import CampaignSpec, canonical_json
@@ -147,37 +133,6 @@ class CellRecord:
 
 
 @dataclass(frozen=True)
-class DurabilityPolicy:
-    """How eagerly appends are forced to disk.
-
-    ``fsync_every=1`` (the default) fsyncs after every record -- the
-    original store behaviour, where a kill loses at most the in-flight
-    cell.  ``fsync_every=N`` batches the fsync over N appends (a kill
-    can lose up to the last N-1 records; they are simply re-run on
-    resume), and ``fsync_every=0`` only forces on :meth:`close`.
-    Every policy still *flushes* per append, so live readers
-    (``campaign watch``) see records immediately.
-    """
-
-    fsync_every: int = 1
-
-    def __post_init__(self) -> None:
-        if self.fsync_every < 0:
-            raise CampaignError(
-                f"fsync_every must be >= 0, got {self.fsync_every}"
-            )
-
-    @classmethod
-    def coerce(cls, value: "DurabilityPolicy | int | None") -> "DurabilityPolicy":
-        """Accept a policy, an ``fsync_every`` int, or ``None``."""
-        if value is None:
-            return cls()
-        if isinstance(value, DurabilityPolicy):
-            return value
-        return cls(fsync_every=int(value))
-
-
-@dataclass(frozen=True)
 class GcStats:
     """What one store compaction (``campaign gc``) reclaimed.
 
@@ -221,221 +176,7 @@ def partition_superseded(
     return kept, len(payloads) - len(kept)
 
 
-def build_header(spec: CampaignSpec, cell_count: int) -> Dict[str, Any]:
-    """The header payload a store persists at initialise time."""
-    return {
-        "type": HEADER_TYPE,
-        "name": spec.name,
-        "spec_hash": spec.spec_hash(),
-        "created_at": time.time(),
-        "cells": cell_count,
-        "spec": spec.to_dict(),
-    }
 
-
-class CampaignStoreBase(ABC):
-    """Backend interface for campaign persistence.
-
-    The backend implements existence, header I/O, appends, (incremental)
-    reads and compaction; everything spec-shaped -- initialise, header
-    caching, spec verification, record hydration, append retries -- is
-    shared here so the scheduler, aggregator and watch code never see
-    file details.
-    """
-
-    def __init__(self, path: str,
-                 durability: "DurabilityPolicy | int | None" = None) -> None:
-        if not path:
-            raise CampaignError("a store needs a path")
-        self.path = path
-        self.durability = DurabilityPolicy.coerce(durability)
-        self._header: Optional[Dict[str, Any]] = None
-
-    # -- backend surface -------------------------------------------------
-
-    @abstractmethod
-    def exists(self) -> bool:
-        """Whether anything has been written at this path."""
-
-    @abstractmethod
-    def _write_header(self, header: Dict[str, Any]) -> None:
-        """Persist the header of a fresh store."""
-
-    @abstractmethod
-    def _load_header(self) -> Optional[Dict[str, Any]]:
-        """Read the persisted header payload (``None`` if absent)."""
-
-    @abstractmethod
-    def _append_payload(self, payload: Dict[str, Any]) -> None:
-        """Persist one cell payload."""
-
-    @abstractmethod
-    def _iter_payloads(self) -> Iterator[Dict[str, Any]]:
-        """Every persisted cell payload, in append order."""
-
-    @abstractmethod
-    def tail(self, cursor: Any = None) -> Tuple[List[CellRecord], Any]:
-        """Records appended since ``cursor`` plus the new cursor.
-
-        ``cursor=None`` starts from the beginning.  Cursors are
-        backend-opaque; callers only thread them through.  Reading is
-        safe while another process appends (``campaign watch``).
-        """
-
-    @abstractmethod
-    def _recover_append(self) -> None:
-        """Reset append state after a transient write failure, so the
-        next try starts from a clean handle and a healed tail."""
-
-    @abstractmethod
-    def gc(self) -> GcStats:
-        """Compact the store in place.
-
-        Drops error records superseded by a later ``ok`` for the same
-        cell and heals torn-tail crash debris by rewriting only
-        complete records.  The rewrite is atomic, the header survives
-        unchanged, and nothing a resume, report or watch would use is
-        ever removed.
-
-        Raises:
-            CampaignError: The store does not exist.
-        """
-
-    def flush(self) -> None:
-        """Force buffered appends to disk (a durability barrier)."""
-
-    def close(self) -> None:
-        """Flush and release any held handles."""
-
-    # -- shared behaviour ------------------------------------------------
-
-    def initialise(self, spec: CampaignSpec,
-                   cell_count: Optional[int] = None) -> None:
-        """Write the header for a fresh store.
-
-        ``cell_count`` is the size of the grid when the caller has
-        already expanded it; otherwise the spec is expanded here.
-
-        Raises:
-            CampaignError: The path already holds a campaign (use
-                :meth:`verify_spec` + resume instead of overwriting).
-        """
-        if self.exists():
-            raise CampaignError(
-                f"store {self.path!r} already exists; resume it or pick "
-                "a new path"
-            )
-        if cell_count is None:
-            cell_count = spec.cell_count()
-        header = build_header(spec, cell_count)
-        self._write_header(header)
-        self._header = header
-
-    def header(self) -> Dict[str, Any]:
-        """The campaign header record (parsed once, then cached --
-        the header of an append-only store never changes)."""
-        if self._header is not None:
-            return self._header
-        if not self.exists():
-            raise CampaignError(f"no campaign store at {self.path!r}")
-        header = self._load_header()
-        if not isinstance(header, dict) or header.get("type") != HEADER_TYPE:
-            raise StoreIntegrityError(
-                f"{self.path!r} does not start with a campaign header"
-            )
-        self._header = header
-        return header
-
-    def spec(self) -> CampaignSpec:
-        """The campaign spec persisted in the header."""
-        return CampaignSpec.from_dict(self.header()["spec"])
-
-    def spec_hash(self) -> str:
-        """The spec hash persisted in the header."""
-        return self.header()["spec_hash"]
-
-    def verify_spec(self, spec: CampaignSpec) -> None:
-        """Check that ``spec`` is the one this store was created from.
-
-        Raises:
-            StoreIntegrityError: The hashes differ -- resuming would mix
-                results from two different grids in one store.
-        """
-        stored = self.spec_hash()
-        current = spec.spec_hash()
-        if stored != current:
-            raise StoreIntegrityError(
-                f"store {self.path!r} was created by spec {stored}, "
-                f"refusing to resume with spec {current} "
-                "(campaign definition changed; use a new store path)"
-            )
-
-    def cell_records(self) -> List[CellRecord]:
-        """Every persisted cell record.
-
-        Records come back in append order, so latest-wins dedup per
-        cell is well defined.
-        """
-        return [CellRecord.from_dict(p) for p in self._iter_payloads()]
-
-    def completed_ids(self) -> Set[str]:
-        """Ids of cells that finished successfully (resume skips these)."""
-        return {r.cell_id for r in self.cell_records() if r.ok}
-
-    def append_cell(self, record: CellRecord) -> None:
-        """Persist one finished cell, absorbing transient I/O errors.
-
-        An ``OSError`` whose errno is in :data:`TRANSIENT_APPEND_ERRNOS`
-        (EIO, ENOSPC, EAGAIN, EINTR -- busy or momentarily full media)
-        gets up to :data:`APPEND_RETRIES` retries: the backend first
-        recovers its append state (:meth:`_recover_append` reopens
-        handles, which also heals any partial line the failed write
-        tore into the file), then waits a short deterministic backoff.
-        Anything else -- and every integrity refusal -- propagates
-        unchanged: corruption is never retried into.
-        """
-        payload = record.to_dict()
-        attempt = 0
-        while True:
-            try:
-                if os.environ.get("REPRO_FAULT_PLAN"):
-                    # Lazy: fabric imports this module at import time.
-                    from .fabric.faults import fire_store_append
-                    fire_store_append(self, payload)
-                self._append_payload(payload)
-                return
-            except OSError as exc:
-                if (
-                    exc.errno not in TRANSIENT_APPEND_ERRNOS
-                    or attempt >= APPEND_RETRIES
-                ):
-                    raise CampaignError(
-                        f"store {self.path!r}: append of "
-                        f"{record.cell_id!r} failed after "
-                        f"{attempt + 1} attempt(s): {exc}"
-                    ) from exc
-                attempt += 1
-                self._recover_append()
-                from .fabric.faults import backoff_delay
-                time.sleep(backoff_delay(
-                    f"append:{record.cell_id}", attempt,
-                    base_s=0.01, cap_s=0.2,
-                ))
-
-    def sidecar_path(self, name: str) -> str:
-        """Where scheduler sidecar state (checkpoints) lives."""
-        return f"{self.path}.{name}"
-
-    def __enter__(self) -> "CampaignStoreBase":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------- #
-# JSONL file helpers.
-# --------------------------------------------------------------------- #
 
 def iter_jsonl_payloads(
     path: str, start: int = 0
@@ -471,96 +212,141 @@ def iter_jsonl_payloads(
             offset = end
 
 
-def open_jsonl_append(path: str):
-    """Open a JSONL file for appending, healing crash debris first.
-
-    A kill mid-append leaves a torn (or corrupt) final line.  Readers
-    tolerate it, but appending *after* it would turn interrupted-write
-    debris into permanent mid-file corruption -- so the partial tail is
-    truncated away before the append handle opens.  The records it held
-    were never complete, so nothing real is lost; the cell re-runs on
-    resume.
-    """
-    if os.path.exists(path) and os.path.getsize(path) > 0:
-        valid_end = 0
-        for _, end in iter_jsonl_payloads(path):
-            valid_end = end
-        if valid_end < os.path.getsize(path):
-            with open(path, "r+b") as handle:
-                handle.truncate(valid_end)
-    return open(path, "a", encoding="utf-8")
-
-
-def gc_jsonl_file(path: str) -> Tuple[int, int, int]:
-    """Compact one JSONL record file in place.
-
-    Returns ``(records_kept, errors_dropped, debris_bytes)``.  The
-    replacement file holds exactly the surviving complete records, so
-    a torn tail (crash debris readers already skip) is healed away;
-    the rewrite goes through a fsynced temporary and ``os.replace``,
-    so a kill mid-gc leaves the original file intact.
-    """
-    size = os.path.getsize(path)
-    payloads: List[Dict[str, Any]] = []
-    valid_end = 0
-    for payload, end in iter_jsonl_payloads(path):
-        payloads.append(payload)
-        valid_end = end
-    kept, dropped = partition_superseded(payloads)
-    tmp = f"{path}.gc"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for payload in kept:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    if os.environ.get("REPRO_FAULT_PLAN"):
-        # The crash window the gc selfcheck rehearses: dying here must
-        # leave the original file untouched (plus a stray .gc temp).
-        from .fabric.faults import fire_gc_crash
-        fire_gc_crash()
-    os.replace(tmp, path)
-    cells_kept = sum(1 for p in kept if p.get("type") == CELL_TYPE)
-    return cells_kept, dropped, size - valid_end
-
-
-class JsonlCampaignStore(CampaignStoreBase):
-    """Append-only single-file JSONL persistence (the original store).
+class CampaignStore:
+    """Append-only single-file JSONL campaign store.
 
     The first line is the header; every later line is one cell.  A
     persistent append handle is kept open across appends (opening and
     fsyncing per record made the store the bottleneck for sub-second
-    cells); the :class:`DurabilityPolicy` controls how often the handle
-    is fsynced.
+    cells).  ``fsync_every=1`` (the default) fsyncs after every record,
+    so a kill loses at most the in-flight cell; ``fsync_every=N``
+    batches the fsync over N appends (a kill can lose up to the last
+    N-1 records, which simply re-run on resume), and ``fsync_every=0``
+    only forces on :meth:`close`.  Every append is still *flushed*, so
+    live readers (``campaign watch``) see records immediately.
     """
 
-    def __init__(self, path: str,
-                 durability: "DurabilityPolicy | int | None" = None) -> None:
-        super().__init__(path, durability)
+    def __init__(self, path: str, fsync_every: int = 1) -> None:
+        if not path:
+            raise CampaignError("a store needs a path")
+        if fsync_every < 0:
+            raise CampaignError(
+                f"fsync_every must be >= 0, got {fsync_every}"
+            )
+        self.path = path
+        self.fsync_every = fsync_every
+        self._header: Optional[Dict[str, Any]] = None
         self._handle = None
         self._unsynced = 0
 
-    # -- reading ---------------------------------------------------------
+    # -- header and spec -------------------------------------------------
 
     def exists(self) -> bool:
+        """Whether anything has been written at this path."""
         return os.path.exists(self.path) and os.path.getsize(self.path) > 0
 
-    def _load_header(self) -> Optional[Dict[str, Any]]:
+    def initialise(self, spec: CampaignSpec,
+                   cell_count: Optional[int] = None) -> None:
+        """Write the header for a fresh store.
+
+        ``cell_count`` is the size of the grid when the caller has
+        already expanded it; otherwise the spec is expanded here.
+
+        Raises:
+            CampaignError: The path already holds a campaign (use
+                :meth:`verify_spec` + resume instead of overwriting).
+        """
+        if self.exists():
+            raise CampaignError(
+                f"store {self.path!r} already exists; resume it or pick "
+                "a new path"
+            )
+        header = {
+            "type": HEADER_TYPE,
+            "name": spec.name,
+            "spec_hash": spec.spec_hash(),
+            "created_at": time.time(),
+            "cells": spec.cell_count() if cell_count is None else cell_count,
+            "spec": spec.to_dict(),
+        }
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)),
+                    exist_ok=True)
+        self._write_line(header)
+        self._header = header
+
+    def header(self) -> Dict[str, Any]:
+        """The campaign header record (parsed once, then cached --
+        the header of an append-only store never changes)."""
+        if self._header is not None:
+            return self._header
+        if not self.exists():
+            raise CampaignError(f"no campaign store at {self.path!r}")
         # Only the first line: a file that is not a JSONL store (an
         # old sqlite database, say) must read as a foreign header, not
         # trip over mid-file "corruption".
         with open(self.path, "rb") as handle:
             first = handle.readline()
         try:
-            return json.loads(first.decode("utf-8"))
+            header = json.loads(first.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
+            header = None
+        if not isinstance(header, dict) or header.get("type") != HEADER_TYPE:
+            raise StoreIntegrityError(
+                f"{self.path!r} does not start with a campaign header"
+            )
+        self._header = header
+        return header
 
-    def _iter_payloads(self) -> Iterator[Dict[str, Any]]:
-        for payload, _ in iter_jsonl_payloads(self.path):
-            if payload.get("type") == CELL_TYPE:
-                yield payload
+    def spec(self) -> CampaignSpec:
+        """The campaign spec persisted in the header."""
+        return CampaignSpec.from_dict(self.header()["spec"])
 
-    def tail(self, cursor: Any = None) -> Tuple[List[CellRecord], Any]:
+    def spec_hash(self) -> str:
+        """The spec hash persisted in the header."""
+        return self.header()["spec_hash"]
+
+    def verify_spec(self, spec: CampaignSpec) -> None:
+        """Check that ``spec`` is the one this store was created from.
+
+        Raises:
+            StoreIntegrityError: The hashes differ -- resuming would mix
+                results from two different grids in one store.
+        """
+        stored = self.spec_hash()
+        current = spec.spec_hash()
+        if stored != current:
+            raise StoreIntegrityError(
+                f"store {self.path!r} was created by spec {stored}, "
+                f"refusing to resume with spec {current} "
+                "(campaign definition changed; use a new store path)"
+            )
+
+    # -- reading ---------------------------------------------------------
+
+    def cell_records(self) -> List[CellRecord]:
+        """Every persisted cell record.
+
+        Records come back in append order, so latest-wins dedup per
+        cell is well defined.  A missing file raises (unlike
+        :meth:`tail`, which reads it as empty).
+        """
+        return [
+            CellRecord.from_dict(payload)
+            for payload, _ in iter_jsonl_payloads(self.path)
+            if payload.get("type") == CELL_TYPE
+        ]
+
+    def completed_ids(self) -> Set[str]:
+        """Ids of cells that finished successfully (resume skips these)."""
+        return {r.cell_id for r in self.cell_records() if r.ok}
+
+    def tail(self, cursor: Optional[int] = None) -> Tuple[List[CellRecord], int]:
+        """Records appended since ``cursor`` plus the new cursor.
+
+        ``cursor=None`` starts from the beginning; callers only thread
+        the cursor (a byte offset) through.  Reading is safe while
+        another process appends (``campaign watch``).
+        """
         offset = 0 if cursor is None else int(cursor)
         if not os.path.exists(self.path):
             return [], offset
@@ -573,43 +359,72 @@ class JsonlCampaignStore(CampaignStoreBase):
 
     # -- writing ---------------------------------------------------------
 
-    def _write_header(self, header: Dict[str, Any]) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        self._write_line(header)
+    def append_cell(self, record: CellRecord) -> None:
+        """Persist one finished cell, absorbing transient I/O errors.
 
-    def _append_payload(self, payload: Dict[str, Any]) -> None:
-        self._write_line(payload)
+        An ``OSError`` whose errno is in :data:`TRANSIENT_APPEND_ERRNOS`
+        (EIO, ENOSPC, EAGAIN, EINTR -- busy or momentarily full media)
+        gets up to :data:`APPEND_RETRIES` retries: the append handle is
+        dropped (the next write reopens it, which also heals any
+        partial line the failed write tore into the file), then a short
+        deterministic backoff passes.  Anything else -- and every
+        integrity refusal -- propagates unchanged: corruption is never
+        retried into.
+        """
+        payload = record.to_dict()
+        attempt = 0
+        while True:
+            try:
+                if os.environ.get("REPRO_FAULT_PLAN"):
+                    # Lazy: fabric imports this module at import time.
+                    from .fabric.faults import fire_store_append
+                    fire_store_append(self, payload)
+                self._write_line(payload)
+                return
+            except OSError as exc:
+                if (
+                    exc.errno not in TRANSIENT_APPEND_ERRNOS
+                    or attempt >= APPEND_RETRIES
+                ):
+                    raise CampaignError(
+                        f"store {self.path!r}: append of "
+                        f"{record.cell_id!r} failed after "
+                        f"{attempt + 1} attempt(s): {exc}"
+                    ) from exc
+                attempt += 1
+                self._drop_handle()
+                from .fabric.faults import backoff_delay
+                time.sleep(backoff_delay(
+                    f"append:{record.cell_id}", attempt,
+                    base_s=0.01, cap_s=0.2,
+                ))
 
     def _write_line(self, payload: Dict[str, Any]) -> None:
         if self._handle is None:
-            self._handle = open_jsonl_append(self.path)
+            # A kill mid-append leaves a torn (or corrupt) final line.
+            # Readers tolerate it, but appending *after* it would turn
+            # the debris into permanent mid-file corruption, so the
+            # partial tail is truncated away before the handle opens.
+            # Its record was never complete; the cell re-runs on resume.
+            if self.exists():
+                valid_end = 0
+                for _, end in iter_jsonl_payloads(self.path):
+                    valid_end = end
+                if valid_end < os.path.getsize(self.path):
+                    with open(self.path, "r+b") as handle:
+                        handle.truncate(valid_end)
+            self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        # Always flush (live watchers tail the file); fsync per policy.
+        # Always flush (live watchers tail the file); fsync per cadence.
         self._handle.flush()
         self._unsynced += 1
-        every = self.durability.fsync_every
-        if every and self._unsynced >= every:
+        if self.fsync_every and self._unsynced >= self.fsync_every:
             os.fsync(self._handle.fileno())
             self._unsynced = 0
 
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            if self._unsynced:
-                os.fsync(self._handle.fileno())
-                self._unsynced = 0
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self.flush()
-            self._handle.close()
-            self._handle = None
-
-    def _recover_append(self) -> None:
-        # Drop the persistent handle; the next write reopens through
-        # open_jsonl_append, which truncates any torn tail the failed
-        # write left behind.
+    def _drop_handle(self) -> None:
+        """Drop the append handle after a failed write; the next write
+        reopens it and truncates any torn tail left behind."""
         if self._handle is not None:
             try:
                 self._handle.close()
@@ -626,15 +441,72 @@ class JsonlCampaignStore(CampaignStoreBase):
             handle.flush()
             os.fsync(handle.fileno())
 
+    def flush(self) -> None:
+        """Force buffered appends to disk (a durability barrier)."""
+        if self._handle is not None:
+            self._handle.flush()
+            if self._unsynced:
+                os.fsync(self._handle.fileno())
+                self._unsynced = 0
+
+    def close(self) -> None:
+        """Flush and release the append handle."""
+        if self._handle is not None:
+            self.flush()
+            self._handle.close()
+            self._handle = None
+
+    def sidecar_path(self, name: str) -> str:
+        """Where scheduler sidecar state (checkpoints) lives."""
+        return f"{self.path}.{name}"
+
+    def __enter__(self) -> "CampaignStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     # -- compaction ------------------------------------------------------
 
     def gc(self) -> GcStats:
+        """Compact the store in place.
+
+        Drops error records superseded by a later ``ok`` for the same
+        cell and heals torn-tail crash debris by rewriting only
+        complete records.  The header survives unchanged, and nothing a
+        resume, report or watch would use is ever removed.  The rewrite
+        goes through a fsynced temporary and ``os.replace``, so a kill
+        mid-gc leaves the original file intact.
+
+        Raises:
+            CampaignError: The store does not exist.
+        """
         if not self.exists():
             raise CampaignError(f"no campaign store at {self.path!r}")
         self.header()  # integrity check before any rewrite
         self.close()  # the rewrite replaces the append handle's file
-        return GcStats(*gc_jsonl_file(self.path))
+        size = os.path.getsize(self.path)
+        payloads: List[Dict[str, Any]] = []
+        valid_end = 0
+        for payload, end in iter_jsonl_payloads(self.path):
+            payloads.append(payload)
+            valid_end = end
+        kept, dropped = partition_superseded(payloads)
+        tmp = f"{self.path}.gc"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for payload in kept:
+                handle.write(json.dumps(payload, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        if os.environ.get("REPRO_FAULT_PLAN"):
+            # The crash window the gc selfcheck rehearses: dying here must
+            # leave the original file untouched (plus a stray .gc temp).
+            from .fabric.faults import fire_gc_crash
+            fire_gc_crash()
+        os.replace(tmp, self.path)
+        cells_kept = sum(1 for p in kept if p.get("type") == CELL_TYPE)
+        return GcStats(cells_kept, dropped, size - valid_end)
 
 
-#: Backwards-compatible name for the original (JSONL) store.
-CampaignStore = JsonlCampaignStore
+#: perfbench/tracing.py binds append_cell/cell_records through this name.
+CampaignStoreBase = CampaignStore

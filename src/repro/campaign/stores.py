@@ -1,4 +1,4 @@
-"""Store opening: one path in, one JSONL store out.
+"""Store opening: one path in, one :class:`CampaignStore` out.
 
 Every campaign entry point (runner, status, report, watch, gc) goes
 through :func:`open_store`.  Campaigns persist to a single append-only
@@ -12,25 +12,23 @@ from __future__ import annotations
 import os
 
 from ..errors import CampaignError
-from .store import DurabilityPolicy, JsonlCampaignStore
+from .store import CampaignStore
 
 #: URI prefixes of the removed store backends.
 _REMOVED_SCHEMES = ("sqlite:", "shards:")
 
 
-def open_store(
-    path: str,
-    durability: "DurabilityPolicy | int | None" = None,
-) -> JsonlCampaignStore:
+def open_store(path: str, fsync_every: int = 1) -> CampaignStore:
     """Open (not create) the JSONL store at ``path``.
 
     Args:
         path: Store file path.
-        durability: Append durability policy (fsync cadence), see
-            :class:`~repro.campaign.store.DurabilityPolicy`.
+        fsync_every: Appends per fsync (``0``: only on close), see
+            :class:`~repro.campaign.store.CampaignStore`.
 
     Raises:
-        CampaignError: ``path`` is empty or names a removed backend.
+        CampaignError: ``path`` is empty, names a removed backend, or
+            ``fsync_every`` is negative.
     """
     if not path:
         raise CampaignError("a store needs a path")
@@ -45,4 +43,4 @@ def open_store(
             f"store {path!r} is a directory: the shards backend was "
             "removed; campaign stores are JSONL files"
         )
-    return JsonlCampaignStore(path, durability=durability)
+    return CampaignStore(path, fsync_every=fsync_every)

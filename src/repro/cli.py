@@ -240,7 +240,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             progress=progress,
             max_attempts=args.max_attempts,
             cell_timeout_s=args.cell_timeout,
-            durability=args.fsync_every,
+            fsync_every=args.fsync_every,
             backoff_base_s=args.backoff_base,
             backoff_cap_s=args.backoff_cap,
             poison_threshold=args.poison_threshold,

@@ -232,7 +232,3 @@ class AndroidClient(BaseClient):
     def discharge_mah(self) -> float:
         """Monsoon-integrated battery discharge."""
         return self.meter.discharge_mah()
-
-    def battery_drain_fraction(self) -> float:
-        """Discharge as a fraction of battery capacity."""
-        return self.battery.drain_fraction(self.discharge_mah())

@@ -125,9 +125,3 @@ class MonsoonMeter:
         currents = np.array([r.current_ma for r in self.readings])
         hours = (times - times[0]) / 3600.0
         return float(np.trapezoid(currents, hours))
-
-    def mean_power_w(self) -> float:
-        """Average sampled power."""
-        if not self.readings:
-            return 0.0
-        return float(np.mean([r.power_w for r in self.readings]))

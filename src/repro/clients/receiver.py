@@ -129,24 +129,6 @@ class ReceiverEngine:
         self._audio_decoders[flow_id] = decoder
         return decoder
 
-    def video_decoder(self, flow_id: str) -> VideoDecoder:
-        """The decoder attached to a watched flow."""
-        try:
-            return self._video_decoders[flow_id]
-        except KeyError:
-            raise SessionError(f"flow {flow_id!r} is not being watched") from None
-
-    def audio_decoder(self, flow_id: str) -> AudioDecoder:
-        """The decoder attached to a listened flow."""
-        try:
-            return self._audio_decoders[flow_id]
-        except KeyError:
-            raise SessionError(f"flow {flow_id!r} is not being listened") from None
-
-    def audio_frames_expected(self, flow_id: str) -> int:
-        """Highest audio frame index seen + 1 (for waveform assembly)."""
-        return self._audio_frame_counts.get(flow_id, 0)
-
     def snapshot(self) -> tuple[dict, dict, dict]:
         """Copies of the decoder maps, for post-session artifacts.
 

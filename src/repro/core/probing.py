@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -51,12 +51,6 @@ class ProbeResult:
         if not self.rtts_s:
             raise MeasurementError(f"no probe replies from {self.endpoint}")
         return to_ms(float(np.mean(self.rtts_s)))
-
-    def percentile_rtt_ms(self, percentile: float) -> float:
-        """An RTT percentile in milliseconds."""
-        if not self.rtts_s:
-            raise MeasurementError(f"no probe replies from {self.endpoint}")
-        return to_ms(float(np.percentile(self.rtts_s, percentile)))
 
 
 class Prober:
@@ -137,10 +131,6 @@ class Prober:
             endpoint = self._probe_endpoint.pop(probe_id)
             self._in_flight.pop(probe_id)
             self._results[endpoint].lost += 1
-
-    def result_for(self, endpoint: EndpointKey) -> Optional[ProbeResult]:
-        """The (possibly still filling) result for an endpoint."""
-        return self._results.get(endpoint)
 
     def results(self) -> List[ProbeResult]:
         """All collected probe results."""

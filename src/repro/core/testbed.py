@@ -9,6 +9,7 @@ sessions through it.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -119,17 +120,16 @@ class Testbed:
             host=host,
             device=device,
             platform_name=platform_name,
-            rng=np.random.default_rng(self.config.seed + hash(name) % 1000),
+            # crc32, not hash(): str hashes change with PYTHONHASHSEED.
+            rng=np.random.default_rng(
+                [self.config.seed, zlib.crc32(name.encode())]
+            ),
             view=view,
             camera_on=camera_on,
             screen_on=screen_on,
         )
         self.clients[name] = client
         return client
-
-    def remove_client(self, name: str) -> None:
-        """Forget a client (its host stays attached; names are scarce)."""
-        self.clients.pop(name, None)
 
     # ------------------------------------------------------------- #
     # Platforms & sessions.

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generic, List, Optional, Set, TypeVar
 
 from ..errors import MediaError
-from .audio_codec import EncodedAudioFrame
-from .video_codec import EncodedFrame
 
 #: Fragment payload budget; matches the packetiser MTU in repro.net.
 DEFAULT_FRAGMENT_BYTES = 1200
@@ -86,20 +84,6 @@ def fragment_frame(
         )
         remaining -= chunk
     return fragments
-
-
-def fragment_video_frame(
-    frame: EncodedFrame, mtu: int = DEFAULT_FRAGMENT_BYTES
-) -> List[ChunkFragment[EncodedFrame]]:
-    """Fragment an encoded video frame."""
-    return fragment_frame(frame, frame.size_bytes, frame.index, mtu)
-
-
-def fragment_audio_frame(
-    frame: EncodedAudioFrame, mtu: int = DEFAULT_FRAGMENT_BYTES
-) -> List[ChunkFragment[EncodedAudioFrame]]:
-    """Fragment an encoded audio frame (usually a single fragment)."""
-    return fragment_frame(frame, frame.size_bytes, frame.index, mtu)
 
 
 class Reassembler(Generic[FrameT]):

@@ -149,14 +149,6 @@ class RegionRegistry:
         """Regions in a group (``"US"`` or ``"Europe"``)."""
         return [r for r in self if r.group == group]
 
-    def us_regions(self) -> List[Region]:
-        """The seven-VM US deployment of Table 3."""
-        return self.by_group(GROUP_US)
-
-    def europe_regions(self) -> List[Region]:
-        """The seven-VM Europe deployment of Table 3."""
-        return self.by_group(GROUP_EUROPE)
-
     def vm_names(self, group: str) -> List[str]:
         """Expand regions into per-VM names, numbering duplicates.
 

@@ -250,7 +250,7 @@ class TestBookkeepingCounts:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_clean_run_writes_no_sidecar(self, tmp_path, monkeypatch,
                                          workers):
-        from repro.campaign.store import CampaignStoreBase
+        from repro.campaign.store import CampaignStore
 
         writes = []
         replace = os.replace
@@ -261,7 +261,7 @@ class TestBookkeepingCounts:
             replace(src, dst)
 
         sidecar_seen = []
-        append = CampaignStoreBase.append_cell
+        append = CampaignStore.append_cell
 
         def checked_append(store, record):
             sidecar_seen.append(
@@ -270,7 +270,7 @@ class TestBookkeepingCounts:
             append(store, record)
 
         monkeypatch.setattr(os, "replace", counting_replace)
-        monkeypatch.setattr(CampaignStoreBase, "append_cell", checked_append)
+        monkeypatch.setattr(CampaignStore, "append_cell", checked_append)
         spec = calibration_campaign(cells=40, name="clean")
         path = str(tmp_path / "clean.jsonl")
         summary = run_campaign(spec, path, workers=workers)
@@ -281,7 +281,7 @@ class TestBookkeepingCounts:
 
     def test_spent_attempt_is_on_disk_before_the_next_record(
             self, tmp_path, monkeypatch):
-        from repro.campaign.store import CampaignStoreBase
+        from repro.campaign.store import CampaignStore
 
         flag = str(tmp_path / "crash.flag")
         spec = calibration_campaign(cells=4, crash_flags=(flag,),
@@ -293,7 +293,7 @@ class TestBookkeepingCounts:
         absorbed = []
         after_failure = []
         absorb = CampaignScheduler._absorb_failure
-        append = CampaignStoreBase.append_cell
+        append = CampaignStore.append_cell
 
         def marking_absorb(scheduler, *args):
             absorb(scheduler, *args)
@@ -307,7 +307,7 @@ class TestBookkeepingCounts:
 
         monkeypatch.setattr(CampaignScheduler, "_absorb_failure",
                             marking_absorb)
-        monkeypatch.setattr(CampaignStoreBase, "append_cell", checked_append)
+        monkeypatch.setattr(CampaignStore, "append_cell", checked_append)
         summary = run_campaign(spec, str(tmp_path / "crash.jsonl"),
                                workers=2, max_attempts=2)
         assert summary.failed == 0 and summary.retried == 1

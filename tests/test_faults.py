@@ -374,11 +374,11 @@ class TestQuarantineSurvivesKillResume:
         """A SIGKILL right after the poison record lands must not lose
         the verdict: the checkpoint already holds it."""
         from repro.campaign.fabric.scheduler import CHECKPOINT_NAME
-        from repro.campaign.store import CampaignStoreBase
+        from repro.campaign.store import CampaignStore
 
         spec = calibration_campaign(cells=4, spin_ms=5.0, name="verdict")
         seen = []
-        append = CampaignStoreBase.append_cell
+        append = CampaignStore.append_cell
 
         def checked_append(store, record):
             if record.error and "fabric:poison" in record.error:
@@ -386,7 +386,7 @@ class TestQuarantineSurvivesKillResume:
                     seen.append(json.load(handle)["quarantined"])
             append(store, record)
 
-        monkeypatch.setattr(CampaignStoreBase, "append_cell", checked_append)
+        monkeypatch.setattr(CampaignStore, "append_cell", checked_append)
         self._poison_run(tmp_path, spec, str(tmp_path / "store.jsonl"))
         assert seen == [[_target_cell(spec)]]
 

@@ -16,8 +16,6 @@ import pytest
 from repro.campaign import (
     CampaignStore,
     CellRecord,
-    DurabilityPolicy,
-    JsonlCampaignStore,
     open_store,
     run_campaign,
 )
@@ -73,10 +71,7 @@ class TestBackendSelection:
         # Any file path is a JSONL store, whatever its suffix.
         for name in ("a.jsonl", "a.sqlite", "a.db", "plain.txt"):
             assert isinstance(open_store(str(tmp_path / name)),
-                              JsonlCampaignStore)
-
-    def test_campaign_store_alias_is_jsonl(self):
-        assert CampaignStore is JsonlCampaignStore
+                              CampaignStore)
 
 
 class TestStoreContract:
@@ -155,8 +150,8 @@ class TestStoreContract:
         spec = spec_of()
         for fsync_every, suffix in ((0, "a"), (5, "b")):
             path = store_path.replace("store", f"dur-{suffix}")
-            store = open_store(path, durability=fsync_every)
-            assert store.durability == DurabilityPolicy(fsync_every)
+            store = open_store(path, fsync_every=fsync_every)
+            assert store.fsync_every == fsync_every
             store.initialise(spec)
             for cell in spec.expand():
                 store.append_cell(record_for(cell, spec))
@@ -164,8 +159,8 @@ class TestStoreContract:
             assert len(open_store(path).cell_records()) == 3
 
     def test_negative_fsync_rejected(self):
-        with pytest.raises(CampaignError):
-            DurabilityPolicy(fsync_every=-1)
+        with pytest.raises(CampaignError, match="fsync_every must be >= 0"):
+            open_store("store.jsonl", fsync_every=-1)
 
     def test_run_campaign_against_backend(self, store_path):
         spec = spec_of(cells=4, name="run")
