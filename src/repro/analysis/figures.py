@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
 from ..errors import AnalysisError
 from .cdf import Cdf
 

@@ -54,16 +54,12 @@ from .fabric import (
     FabricConfig,
     FaultPlan,
     FaultSpec,
-    GcSelfCheckResult,
     ProgressSnapshot,
-    SelfCheckResult,
     StreamingAggregator,
     backoff_delay,
     make_executor,
     run_chaos_case,
     run_chaos_matrix,
-    run_gc_selfcheck,
-    run_selfcheck,
     watch_store,
 )
 from .grids import (
@@ -107,7 +103,6 @@ __all__ = [
     "FabricConfig",
     "FaultPlan",
     "FaultSpec",
-    "GcSelfCheckResult",
     "GcStats",
     "KIND_TABLES",
     "KNOWN_KINDS",
@@ -115,7 +110,6 @@ __all__ = [
     "SMOKE_SCALE",
     "ScenarioAdapter",
     "ScenarioSpec",
-    "SelfCheckResult",
     "StreamingAggregator",
     "TableSpec",
     "backoff_delay",
@@ -131,8 +125,6 @@ __all__ = [
     "run_campaign",
     "run_chaos_case",
     "run_chaos_matrix",
-    "run_gc_selfcheck",
-    "run_selfcheck",
     "smoke_campaign",
     "status_table",
     "watch_store",

@@ -11,19 +11,19 @@ grid is too big for one process and one sitting:
   arriving records into live paper tables and progress,
 * :mod:`~repro.campaign.fabric.watch` -- read-only live status over
   a store another process writes,
-* :mod:`~repro.campaign.fabric.selfcheck` -- the kill/resume and
-  gc-crash equivalence proofs CI runs,
 * :mod:`~repro.campaign.fabric.faults` -- the deterministic
   fault-injection plane (seeded fault plans, cross-process
   exactly-N-times firing, deterministic retry backoff),
-* :mod:`~repro.campaign.fabric.chaos` -- the chaos matrix: every
-  fault class, judged by bit-identity with a clean reference run.
+* :mod:`~repro.campaign.fabric.chaos` -- the chaos matrix, the one
+  durability proof CI runs: every fault class (worker crashes, hangs,
+  store I/O errors, checkpoint corruption, crash loops, poison cells,
+  a SIGKILLed run and a SIGKILLed gc), judged by bit-identity with a
+  clean reference run.
 """
 
 from .chaos import FAULT_CLASSES, ChaosCaseResult, run_chaos_case, run_chaos_matrix
 from .executors import (
     CellDone,
-    ExecutorBase,
     InlineExecutor,
     UnitFailed,
     WorkerExecutor,
@@ -32,12 +32,6 @@ from .executors import (
 )
 from .faults import FaultPlan, FaultSpec, backoff_delay
 from .scheduler import CampaignScheduler, FabricConfig
-from .selfcheck import (
-    GcSelfCheckResult,
-    SelfCheckResult,
-    run_gc_selfcheck,
-    run_selfcheck,
-)
 from .streaming import ProgressSnapshot, StreamingAggregator
 from .watch import (
     load_fabric_health,
@@ -51,14 +45,11 @@ __all__ = [
     "CampaignScheduler",
     "CellDone",
     "ChaosCaseResult",
-    "ExecutorBase",
     "FabricConfig",
     "FaultPlan",
     "FaultSpec",
-    "GcSelfCheckResult",
     "InlineExecutor",
     "ProgressSnapshot",
-    "SelfCheckResult",
     "StreamingAggregator",
     "UnitFailed",
     "WorkUnit",
@@ -70,7 +61,5 @@ __all__ = [
     "render_snapshot",
     "run_chaos_case",
     "run_chaos_matrix",
-    "run_gc_selfcheck",
-    "run_selfcheck",
     "watch_store",
 ]

@@ -1,12 +1,12 @@
 """The chaos matrix: rehearse every fault class, assert bit-identity.
 
-``repro campaign chaos`` is the chaos twin of ``campaign selfcheck``:
-where selfcheck proves the fabric survives a SIGKILL from *outside*,
-the chaos matrix activates the deterministic fault plane
-(:mod:`~repro.campaign.fabric.faults`) and proves the fabric survives
-every fault class it can inject from *inside*, with the surviving
-store **bit-identical in cell content** to an uninjected reference
-run.
+``repro campaign chaos`` is the fabric's one durability proof.  Each
+case perturbs a run of the same calibration grid -- through the
+deterministic fault plane (:mod:`~repro.campaign.fabric.faults`), by
+SIGKILLing a real ``campaign run`` subprocess from outside, or by
+killing a ``campaign gc`` inside its crash window -- and asserts that
+the surviving store is **bit-identical in cell content** to an
+uninjected reference run.
 
 One clean inline reference run anchors every comparison: cell ids and
 seeds derive from ``kind + params + master_seed`` only (never the
@@ -31,11 +31,25 @@ Fault classes (:data:`FAULT_CLASSES`):
 ``poison``      one cell kills every worker that touches it; it must
                 be quarantined with a ``fabric:poison`` record while
                 every *other* cell matches the reference.
+``sigkill``     a real ``campaign run --workers 2`` subprocess (one
+                worker crash, every cell slowed) is SIGKILLed mid-grid;
+                its workers must exit on their own within
+                :data:`ORPHAN_GRACE_S`, and a ``--resume`` subprocess
+                must exit 0 and complete the grid.  The case counts as
+                fired only if the kill landed before the grid finished.
+``gc-crash``    a store with superseded error debris is compacted by a
+                ``campaign gc`` subprocess that the fault plane
+                SIGKILLs before its atomic replace; the store must be
+                untouched, and a clean re-gc must drop the debris
+                without changing content.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,8 +59,14 @@ from ..grids import calibration_campaign
 from ..runner import CampaignRunSummary, run_campaign
 from ..spec import CampaignSpec
 from ..stores import open_store
-from .faults import FaultPlan, FaultSpec, activate, deactivate
-from .selfcheck import _ok_content, compare_content
+from .faults import (
+    PARENT_PID_ENV,
+    PLAN_ENV,
+    FaultPlan,
+    FaultSpec,
+    activate,
+    deactivate,
+)
 
 #: Every fault class the matrix can rehearse.
 FAULT_CLASSES = (
@@ -57,7 +77,19 @@ FAULT_CLASSES = (
     "checkpoint",
     "crashloop",
     "poison",
+    "sigkill",
+    "gc-crash",
 )
+
+#: Seconds a SIGKILLed run's workers get to notice and exit.
+ORPHAN_GRACE_S = 5.0
+
+#: Wall-clock budget of each ``repro`` subprocess a case starts.
+SUBPROCESS_DEADLINE_S = 120.0
+
+#: ``cell.slow`` delay on every cell of the ``sigkill`` case, so the
+#: grid is still running when the kill lands.
+SIGKILL_PACE_S = 0.2
 
 
 @dataclass
@@ -83,6 +115,110 @@ class ChaosCaseResult:
     def ok(self) -> bool:
         """Whether the fault was survived with identical content."""
         return not self.mismatches and self.fired > 0
+
+
+def _ok_content(store_path: str) -> Dict[str, Tuple]:
+    """Latest-ok content key per cell id in a store."""
+    latest: Dict[str, Tuple] = {}
+    for record in open_store(store_path).cell_records():
+        if record.ok:
+            latest[record.cell_id] = record.content_key()
+    return latest
+
+
+def compare_content(reference: Dict[str, Tuple], store_path: str,
+                    ignore: Sequence[str] = ()) -> List[str]:
+    """Content-key diff between a reference and a survivor store."""
+    survivor = _ok_content(store_path)
+    skip = set(ignore)
+    mismatches: List[str] = []
+    for cell_id in sorted(set(reference) | set(survivor)):
+        if cell_id in skip:
+            continue
+        ref = reference.get(cell_id)
+        got = survivor.get(cell_id)
+        if ref is None:
+            mismatches.append(f"{cell_id}: extra cell in survivor store")
+        elif got is None:
+            mismatches.append(f"{cell_id}: missing from survivor store")
+        elif ref != got:
+            mismatches.append(
+                f"{cell_id}: content differs\n  reference: {ref}\n"
+                f"  survivor:  {got}"
+            )
+    return mismatches
+
+
+def _subprocess_env(plan_path: Optional[str] = None) -> Dict[str, str]:
+    """Environment for a ``repro`` subprocess: this package on the path,
+    the fault plan at ``plan_path`` if given, and no inherited
+    fault-plane parent pid, so a child ``campaign run`` claims the
+    parent role (exempt from worker-only faults) itself."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env.pop(PARENT_PID_ENV, None)
+    if plan_path is not None:
+        env[PLAN_ENV] = os.path.abspath(plan_path)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
+    return env
+
+
+def _run_repro(args: Sequence[str], env: Dict[str, str],
+               log_path: str) -> Optional[int]:
+    """Run ``python -m repro ARGS`` to its end, output to ``log_path``.
+
+    Returns its exit status, or ``None`` if it overran
+    :data:`SUBPROCESS_DEADLINE_S` (it is then killed).
+    """
+    with open(log_path, "w", encoding="utf-8") as log:
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args], env=env,
+                stdout=log, stderr=subprocess.STDOUT,
+                timeout=SUBPROCESS_DEADLINE_S,
+            ).returncode
+        except subprocess.TimeoutExpired:
+            return None
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: probe with signal 0 instead
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def surviving_workers(store_path: str, parent_pid: int,
+                      grace_s: float = ORPHAN_GRACE_S) -> List[int]:
+    """Worker pids of a SIGKILLed run that are still alive after
+    ``grace_s`` (the pids come from the store's cell records)."""
+    pids = {r.worker for r in open_store(store_path).cell_records()}
+    pids -= {0, parent_pid}
+    deadline = time.monotonic() + grace_s
+    while True:
+        alive = sorted(pid for pid in pids if _running(pid))
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.1)
+
+
+def _ok_count(store_path: str) -> int:
+    """Completed cells in a store another process is writing."""
+    try:
+        return len(open_store(store_path).completed_ids())
+    except (CampaignError, OSError):
+        return 0  # store not written yet
 
 
 def _chaos_grid(quick: bool, chaos_seed: int) -> CampaignSpec:
@@ -166,9 +302,134 @@ def _case_plan(fault: str, target: str) -> _CasePlan:
             workers=2, max_attempts=10,
             poison_threshold=2,
         )
+    if fault == "sigkill":
+        # Run as a CLI subprocess: one worker dies, and every cell is
+        # slowed so the grid is still running when the kill lands.
+        return _CasePlan(
+            specs=(
+                FaultSpec("cell.crash", cell_id=target),
+                FaultSpec("cell.slow", delay_s=SIGKILL_PACE_S, times=99),
+            ),
+            workers=2,
+        )
+    if fault == "gc-crash":
+        # The checkpoint case's debris (a crash with no retry budget,
+        # superseded by the resume), then a ``campaign gc`` subprocess
+        # that the plan kills inside its crash window.
+        return _CasePlan(
+            specs=(
+                FaultSpec("cell.crash", cell_id=target),
+                FaultSpec("gc.crash"),
+            ),
+            workers=2, max_attempts=1, two_stage=True,
+        )
     raise CampaignError(
         f"unknown fault class {fault!r}; expected one of {FAULT_CLASSES}"
     )
+
+
+def _kill_and_resume(spec: CampaignSpec, case: _CasePlan, plan_path: str,
+                     store_path: str) -> Tuple[int, str, List[str]]:
+    """The ``sigkill`` case: SIGKILL a CLI run mid-grid, then resume it.
+
+    The run is a real ``campaign run`` subprocess under the case's
+    fault plan, killed once a third of the grid is stored.  Its workers
+    must then exit by themselves, and a ``--resume`` subprocess must
+    exit 0.
+
+    Returns:
+        ``(fired, detail, mismatches)``: ``fired`` is 1 only if the
+        kill landed before the grid finished.
+    """
+    workdir = os.path.dirname(store_path)
+    spec_path = os.path.join(workdir, "spec.json")
+    spec.save(spec_path)
+    env = _subprocess_env(plan_path)
+    args = [
+        "campaign", "run", "--spec-json", spec_path, "--store", store_path,
+        "--workers", str(case.workers),
+        "--max-attempts", str(case.max_attempts),
+        "--backoff-base", "0.01", "--backoff-cap", "0.2",
+    ]
+    total = spec.cell_count()
+    kill_after = max(1, total // 3)
+    with open(os.path.join(workdir, "run.log"), "w",
+              encoding="utf-8") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args], env=env,
+            stdout=log, stderr=subprocess.STDOUT,
+        )
+    deadline = time.monotonic() + SUBPROCESS_DEADLINE_S
+    while (child.poll() is None and _ok_count(store_path) < kill_after
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    killed = child.poll() is None
+    child.kill()
+    child.wait()
+    ok_at_kill = _ok_count(store_path)
+    mismatches: List[str] = []
+    if killed and ok_at_kill < kill_after:
+        mismatches.append(
+            f"interrupted run stored {ok_at_kill}/{total} cells in "
+            f"{SUBPROCESS_DEADLINE_S:.0f}s"
+        )
+    # Nothing shuts the killed run's workers down: they must notice the
+    # dead parent and exit by themselves.
+    if killed and os.path.exists(store_path):
+        for pid in surviving_workers(store_path, child.pid):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            mismatches.append(
+                f"worker {pid} outlived the SIGKILLed run by "
+                f"{ORPHAN_GRACE_S:.0f}s"
+            )
+    log_path = os.path.join(workdir, "resume.log")
+    code = _run_repro([*args, "--resume"], env, log_path)
+    if code != 0:
+        status = "overran" if code is None else f"exited {code}"
+        mismatches.append(f"resume {status}; see {log_path}")
+    fired = int(killed and ok_at_kill < total)
+    detail = (f"SIGKILL at {ok_at_kill}/{total} ok cells, resumed; "
+              "no orphaned workers")
+    return fired, detail, mismatches
+
+
+def _killed_gc(plan_path: str, store_path: str) -> Tuple[str, List[str]]:
+    """The ``gc-crash`` case's compaction: kill it, then gc cleanly.
+
+    A ``campaign gc`` subprocess under the plan is SIGKILLed before its
+    atomic replace and must change nothing; a clean re-gc must still
+    find the superseded error debris and drop it without changing any
+    cell's content.
+    """
+    before = _ok_content(store_path)
+    log_path = os.path.join(os.path.dirname(store_path), "gc.log")
+    code = _run_repro(["campaign", "gc", "--store", store_path],
+                      _subprocess_env(plan_path), log_path)
+    mismatches: List[str] = []
+    if code != -signal.SIGKILL:
+        mismatches.append(
+            f"gc subprocess ended with {code}, expected -SIGKILL "
+            f"({-signal.SIGKILL}); see {log_path}"
+        )
+    if _ok_content(store_path) != before:
+        mismatches.append("store content changed across the killed gc")
+    try:
+        dropped = open_store(store_path).gc().errors_dropped
+    except CampaignError as exc:
+        return "", mismatches + [f"clean re-gc failed: {exc}"]
+    if dropped < 1:
+        mismatches.append(
+            "clean re-gc dropped no superseded error records; the "
+            "killed gc must have committed after all"
+        )
+    if _ok_content(store_path) != before:
+        mismatches.append("store content changed across the clean re-gc")
+    detail = (f"gc SIGKILLed in its crash window left the store intact; "
+              f"clean re-gc dropped {dropped} superseded error record(s)")
+    return detail, mismatches
 
 
 def run_chaos_case(
@@ -198,6 +459,7 @@ def run_chaos_case(
         specs=case.specs,
         state_dir=os.path.join(workdir, "fault-state"),
     )
+    plan_path = os.path.join(workdir, "fault-plan.json")
     store_path = os.path.join(workdir, "store.jsonl")
     start = time.perf_counter()
 
@@ -214,24 +476,32 @@ def run_chaos_case(
             backoff_cap_s=0.2,
         )
 
-    activate(plan, os.path.join(workdir, "fault-plan.json"))
-    try:
-        if case.two_stage:
-            run(resume=False)  # leaves an error record + checkpoint
-            summary = run(resume=True)  # loads the corrupted sidecar
-        else:
-            summary = run(resume=False)
-    finally:
-        deactivate()
-    duration = time.perf_counter() - start
-
-    fired = sum(plan.fired(site) for site in {s.site for s in case.specs})
     mismatches: List[str] = []
     detail = ""
+    if fault == "sigkill":
+        plan.save(plan_path)
+        fired, detail, mismatches = _kill_and_resume(spec, case, plan_path,
+                                                     store_path)
+        summary = None
+    else:
+        activate(plan, plan_path)
+        try:
+            if case.two_stage:
+                run(resume=False)  # leaves an error record + checkpoint
+                summary = run(resume=True)  # resumes over that debris
+            else:
+                summary = run(resume=False)
+        finally:
+            deactivate()
+        if fault == "gc-crash":
+            detail, mismatches = _killed_gc(plan_path, store_path)
+        fired = sum(plan.fired(site) for site in {s.site for s in case.specs})
+    duration = time.perf_counter() - start
+
     if fault == "poison":
         # The poisoned cell must be quarantined (error record, no ok),
         # every other cell bit-identical.
-        mismatches = compare_content(reference, store_path, ignore=(target,))
+        mismatches += compare_content(reference, store_path, ignore=(target,))
         store = open_store(store_path)
         verdicts = [r for r in store.cell_records()
                     if r.cell_id == target]
@@ -254,7 +524,7 @@ def run_chaos_case(
             )
         detail = f"quarantined {target} after repeated worker kills"
     else:
-        mismatches = compare_content(reference, store_path)
+        mismatches += compare_content(reference, store_path)
         if fault == "crashloop":
             if not summary.degraded:
                 mismatches.append(
@@ -263,7 +533,7 @@ def run_chaos_case(
             detail = f"degraded: {summary.degraded}"
         elif fault == "checkpoint":
             detail = "resume completed over a corrupted checkpoint"
-        elif summary.failed:
+        elif summary is not None and summary.failed:
             mismatches.append(
                 f"{summary.failed} cells ended as errors; every cell "
                 "should have survived this fault class"

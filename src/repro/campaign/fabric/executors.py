@@ -1,7 +1,8 @@
-"""Executor abstraction: where and how work units actually run.
+"""Executors: where and how work units actually run.
 
-The scheduler speaks one protocol -- ``submit(WorkUnit)`` then
-``poll()`` for events -- and two executors implement it:
+The scheduler speaks one protocol -- ``start()``, ``submit(WorkUnit)``,
+``poll()`` for events, ``outstanding()``, ``abandon()`` and
+``shutdown()`` -- and two executors implement it:
 
 * :class:`InlineExecutor` -- every cell in-process (pure, debuggable,
   no forks; the ``workers == 1`` path).
@@ -77,54 +78,24 @@ class UnitFailed:
 Event = Any
 
 
-class ExecutorBase:
-    """Common surface: submit units, poll events, shut down."""
+class InlineExecutor:
+    """Run every cell in the calling process.
 
-    name = "base"
-
-    def __init__(self, workers: int = 1,
-                 cell_timeout_s: Optional[float] = None) -> None:
-        self.workers = max(1, int(workers))
-        self.cell_timeout_s = cell_timeout_s
-
-    def start(self) -> None:
-        """Allocate worker resources."""
-
-    def submit(self, unit: WorkUnit) -> None:
-        """Enqueue one unit for execution."""
-        raise NotImplementedError
-
-    def poll(self, timeout: float = 0.25) -> List[Event]:
-        """Wait up to ``timeout`` seconds and return new events."""
-        raise NotImplementedError
-
-    def outstanding(self) -> int:
-        """Units submitted but not yet fully reported."""
-        raise NotImplementedError
-
-    def abandon(self) -> List["UnitFailed"]:
-        """Surrender every queued and in-flight unit.
-
-        Returns one ``UnitFailed`` per surrendered unit (with
-        ``worker_death=False`` -- this is an orderly handoff, not a
-        crash) and forgets them, so the scheduler can resubmit the
-        pending payloads elsewhere.  Used by the crash-loop breaker
-        when it degrades a dying executor to ``inline``.
-        """
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Release worker resources (idempotent)."""
-
-
-class InlineExecutor(ExecutorBase):
-    """Run every cell in the calling process."""
+    Cells run to completion in the caller's own thread, so there is no
+    per-cell timeout here: :class:`FabricConfig` refuses one with a
+    single worker.
+    """
 
     name = "inline"
 
-    def __init__(self, cell_timeout_s: Optional[float] = None) -> None:
-        super().__init__(workers=1, cell_timeout_s=cell_timeout_s)
+    def __init__(self) -> None:
         self._queue: Deque[WorkUnit] = deque()
+
+    def start(self) -> None:
+        """Nothing to allocate."""
+
+    def shutdown(self) -> None:
+        """Nothing to release."""
 
     def submit(self, unit: WorkUnit) -> None:
         self._queue.append(unit)
@@ -142,6 +113,7 @@ class InlineExecutor(ExecutorBase):
         return len(self._queue)
 
     def abandon(self) -> List[UnitFailed]:
+        """Surrender every queued unit as an orderly ``UnitFailed``."""
         events = [
             UnitFailed(unit.unit_id, unit.payloads, "executor abandoned")
             for unit in self._queue
@@ -197,7 +169,7 @@ class _WorkerSlot:
     closed: bool = False
 
 
-class WorkerExecutor(ExecutorBase):
+class WorkerExecutor:
     """N owned worker processes fed one unit at a time.
 
     Explicit per-worker assignment (the parent always knows which unit
@@ -210,7 +182,8 @@ class WorkerExecutor(ExecutorBase):
 
     def __init__(self, workers: int = 2,
                  cell_timeout_s: Optional[float] = None) -> None:
-        super().__init__(workers=workers, cell_timeout_s=cell_timeout_s)
+        self.workers = max(1, int(workers))
+        self.cell_timeout_s = cell_timeout_s
         self._ctx = multiprocessing.get_context()
         self._slots: List[_WorkerSlot] = []
         self._pending: Deque[WorkUnit] = deque()
@@ -327,6 +300,13 @@ class WorkerExecutor(ExecutorBase):
         )
 
     def abandon(self) -> List[UnitFailed]:
+        """Surrender every queued and in-flight unit.
+
+        Returns one ``UnitFailed`` per surrendered unit (with
+        ``worker_death=False`` -- an orderly handoff, not a crash) and
+        forgets them, so the crash-loop breaker can resubmit their
+        pending payloads to an ``inline`` executor.
+        """
         events = [
             UnitFailed(unit.unit_id, unit.payloads, "executor abandoned")
             for unit in self._pending
@@ -362,10 +342,10 @@ class WorkerExecutor(ExecutorBase):
         self._pending.clear()
 
 
-def make_executor(workers: int,
-                  cell_timeout_s: Optional[float] = None) -> ExecutorBase:
-    """The executor for a run: inline for one worker, owned workers
-    otherwise."""
+def make_executor(workers: int, cell_timeout_s: Optional[float] = None
+                  ) -> "InlineExecutor | WorkerExecutor":
+    """The executor for a run: inline for one worker (which enforces no
+    timeout), owned workers otherwise."""
     if workers <= 1:
-        return InlineExecutor(cell_timeout_s=cell_timeout_s)
+        return InlineExecutor()
     return WorkerExecutor(workers=workers, cell_timeout_s=cell_timeout_s)

@@ -29,10 +29,10 @@ site                      effect when fired
 Determinism and exactly-``times`` semantics come from *firing claims*:
 every fault keeps a claim counter as flag files inside the plan's
 ``state_dir``, created with ``O_CREAT | O_EXCL`` so concurrent worker
-processes race for each firing atomically -- the same protocol the
-``noop`` adapter's ``crash_flag`` uses.  A plan therefore injects each
-fault exactly ``times`` times across the whole process tree, every
-run, regardless of scheduling interleavings.
+processes race for each firing atomically.  A plan therefore injects
+each fault exactly ``times`` times across the whole process tree,
+every run, regardless of scheduling interleavings.  It is the only way
+the fabric's tests and the chaos matrix crash a worker.
 
 Activation crosses process boundaries by environment: the plan is
 saved to JSON and ``REPRO_FAULT_PLAN`` points at it, so worker
@@ -81,9 +81,9 @@ FAULT_SITES = (
 )
 
 #: Sites that must only fire in worker processes, never in the
-#: orchestrating parent -- crashing the parent is ``selfcheck``'s job
-#: (SIGKILL from outside), and an inline-degraded executor must be
-#: able to finish the grid.
+#: orchestrating parent -- crashing the parent is the chaos matrix's
+#: ``sigkill`` case (SIGKILL from outside), and an inline-degraded
+#: executor must be able to finish the grid.
 WORKER_ONLY_SITES = frozenset(
     {"cell.crash", "cell.hang", "executor.crashloop"}
 )

@@ -6,7 +6,7 @@
 * expands the grid, subtracts completed cells, shards the remainder
   into :class:`~repro.campaign.fabric.executors.WorkUnit`\\ s sized for
   the executor,
-* dispatches through any :class:`ExecutorBase` and folds events --
+* dispatches through an inline or worker executor and folds events --
   cells append to the store *as they arrive*, unit failures (worker
   crash, timeout) consume one retry attempt per pending cell and
   requeue *after a deterministic exponential backoff*,
@@ -83,7 +83,8 @@ class FabricConfig:
         max_attempts: Attempts per cell before a synthesized error
             record.
         cell_timeout_s: Per-cell wall-clock budget (``None``: no
-            timeout).
+            timeout).  Only worker processes can be killed on it, so
+            it needs ``workers > 1``.
         fsync_every: Store appends per fsync (``1``: every record,
             ``0``: only on close).
         backoff_base_s: First-retry backoff scale; retries wait
@@ -113,6 +114,11 @@ class FabricConfig:
         if self.workers < 1:
             raise CampaignError(
                 f"workers must be >= 1, got {self.workers}"
+            )
+        if self.cell_timeout_s is not None and self.workers == 1:
+            raise CampaignError(
+                "a cell timeout needs workers > 1: one worker runs cells "
+                "in-process, where nothing can stop a cell that overruns"
             )
         if self.max_attempts < 1:
             raise CampaignError(
@@ -443,7 +449,7 @@ class CampaignScheduler:
                     self._death_streak += 1
                 if (
                     self._death_streak >= config.crashloop_threshold
-                    and self._executor.name != InlineExecutor.name
+                    and not isinstance(self._executor, InlineExecutor)
                 ):
                     submit(self._degrade_executor(store, summary))
                 # The poll's other changes: drained backoff waits, a
@@ -473,19 +479,21 @@ class CampaignScheduler:
             "worker-death polls with no completed cells"
         )
         summary.degraded = self._degraded
+        timeouts = (
+            f"; the {self.config.cell_timeout_s:g}s cell timeout is no "
+            "longer enforced"
+            if self.config.cell_timeout_s is not None else ""
+        )
         print(
             f"fabric WARNING: crash-loop breaker tripped -- executor "
             f"{old.name!r} lost workers on "
             f"{self._death_streak} consecutive polls without completing "
             "a cell; degrading to 'inline' (in-process) for the rest of "
-            "the run",
+            f"the run{timeouts}",
             file=sys.stderr, flush=True,
         )
         self._death_streak = 0
-        self._executor = InlineExecutor(
-            cell_timeout_s=self.config.cell_timeout_s
-        )
-        self._executor.start()
+        self._executor = InlineExecutor()
         return [
             payload for event in abandoned for payload in event.pending
         ]

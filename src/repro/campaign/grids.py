@@ -113,48 +113,32 @@ def paper_campaign(
 def calibration_campaign(
     cells: int = 24,
     spin_ms: float = 0.0,
-    crash_flags: Sequence[str] = (),
     master_seed: int = 7,
     name: str = "calibration",
 ) -> CampaignSpec:
     """A grid of deterministic no-op cells.
 
     Used by the scheduler-overhead benchmark (``spin_ms=0``: every
-    second not spent in the cell is fabric overhead) and by the
-    kill/resume self-check (``spin_ms>0`` paces the grid so a SIGKILL
-    lands mid-flight; each ``crash_flags`` path adds one cell whose
-    first attempt SIGKILLs its own worker).
+    second not spent in the cell is fabric overhead) and by the chaos
+    matrix and fabric tests, which crash, slow or hang its cells
+    through the fault plane (:mod:`repro.campaign.fabric.faults`).
 
     Args:
-        cells: Number of plain no-op cells (``index`` axis).
+        cells: Number of no-op cells (``index`` axis).
         spin_ms: Busy-wait per cell, in milliseconds.
-        crash_flags: Flag-file paths; one worker-crash cell per path.
         master_seed: Root of per-cell seed derivation.
         name: Campaign name recorded in the store.
     """
-    if cells < 1 and not crash_flags:
+    if cells < 1:
         raise CampaignError("a calibration campaign needs at least one cell")
-    scenarios = []
-    if cells >= 1:
-        scenarios.append(
+    return CampaignSpec(
+        name=name,
+        scenarios=(
             ScenarioSpec("noop", {
                 "index": tuple(range(cells)),
                 "spin_ms": (spin_ms,),
-            })
-        )
-    # One scenario per crash flag: a shared axis would Cartesian-
-    # product the flags against every index.
-    for i, flag in enumerate(crash_flags):
-        scenarios.append(
-            ScenarioSpec("noop", {
-                "index": (cells + i,),
-                "spin_ms": (spin_ms,),
-                "crash_flag": (flag,),
-            })
-        )
-    return CampaignSpec(
-        name=name,
-        scenarios=tuple(scenarios),
+            }),
+        ),
         scale=SMOKE_SCALE,
         master_seed=master_seed,
     )

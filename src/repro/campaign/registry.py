@@ -11,7 +11,6 @@ any driver types.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping
@@ -211,23 +210,11 @@ def _noop_execute(params: Mapping[str, Any],
                   scale: ExperimentScale) -> Metrics:
     """Calibration cell: deterministic metrics, near-zero cost.
 
-    ``spin_ms`` busy-waits to give a cell measurable duration (so a
-    kill/resume check can reliably interrupt a grid mid-flight);
-    ``crash_flag``, when set to a path that does not exist yet, creates
-    the file and SIGKILLs the worker process -- the first attempt dies,
-    the retry finds the flag and succeeds, which is exactly the
-    worker-crash-recovery path the fabric must survive.  Metrics are a
-    pure function of the cell seed and params, so a crashed-and-retried
-    cell is content-identical to an uninterrupted one.
+    ``spin_ms`` busy-waits to give a cell measurable duration.  Metrics
+    are a pure function of the cell seed and params, so a cell the
+    fault plane crashed and the fabric retried is content-identical to
+    an uninterrupted one.
     """
-    import signal
-
-    flag = params["crash_flag"]
-    if flag and not os.path.exists(flag):
-        with open(flag, "w") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.kill(os.getpid(), signal.SIGKILL)
     spin_ms = float(params["spin_ms"])
     if spin_ms > 0:
         deadline = time.perf_counter() + spin_ms / 1000.0
@@ -298,7 +285,7 @@ ADAPTERS: Dict[str, ScenarioAdapter] = {
         ),
         ScenarioAdapter(
             kind="noop",
-            defaults={"index": 0, "spin_ms": 0.0, "crash_flag": None},
+            defaults={"index": 0, "spin_ms": 0.0},
             execute=_noop_execute,
         ),
         ScenarioAdapter(

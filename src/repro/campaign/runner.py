@@ -26,7 +26,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from ..errors import CampaignError
 from ..experiments.scale import ExperimentScale
 from .registry import get_adapter
 from .spec import CampaignCell, CampaignSpec

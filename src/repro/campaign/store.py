@@ -499,8 +499,9 @@ class CampaignStore:
             handle.flush()
             os.fsync(handle.fileno())
         if os.environ.get("REPRO_FAULT_PLAN"):
-            # The crash window the gc selfcheck rehearses: dying here must
-            # leave the original file untouched (plus a stray .gc temp).
+            # The crash window the gc-crash chaos case rehearses: dying
+            # here must leave the original file untouched (plus a stray
+            # .gc temp).
             from .fabric.faults import fire_gc_crash
             fire_gc_crash()
         os.replace(tmp, self.path)

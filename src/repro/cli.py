@@ -36,14 +36,13 @@ resumable grids over platform x scenario x network condition::
 
 Stores are append-only JSONL files.  ``--workers N`` above 1 runs
 cells on N owned worker processes that survive crashes and timeouts.
-``campaign selfcheck`` proves the fabric's durability claim end to
-end (SIGKILL mid-grid, resume, byte-compare cell content against an
-uninterrupted run, and check the killed run left no worker behind;
-plus a SIGKILL inside ``gc``'s compaction crash window proving the
-rewrite atomic).  ``campaign chaos`` is its fault-injection twin: one
-deterministic case per fault class (worker crashes, hangs, torn store
-appends, checkpoint corruption, crash loops, poison cells), asserting
-the surviving store is bit-identical in cell content to a clean run.
+``campaign chaos`` proves the fabric's durability claim end to end:
+one deterministic case per fault class (worker crashes, hangs, torn
+store appends, checkpoint corruption, crash loops, poison cells, a
+``campaign run`` SIGKILLed mid-grid and resumed with no worker left
+behind, a ``campaign gc`` SIGKILLed in its compaction crash window),
+asserting the surviving store is bit-identical in cell content to a
+clean run.
 
 ``campaign run --smoke`` substitutes a seconds-long 2x2 grid (an
 end-to-end check used by CI); ``--paper-scale`` runs the full
@@ -310,56 +309,6 @@ def _release_workdir(args: argparse.Namespace, workdir: str,
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def cmd_campaign_selfcheck(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .campaign.fabric import run_gc_selfcheck, run_selfcheck
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-selfcheck-")
-    failures = 0
-    try:
-        result = run_selfcheck(
-            f"{workdir}/kill",
-            cells=args.cells,
-            spin_ms=args.spin_ms,
-            kill_after=args.kill_after,
-        )
-    except ReproError as exc:
-        print(f"selfcheck: error: {exc}", file=sys.stderr)
-        failures += 1
-    else:
-        killed = "mid-grid" if result.killed_mid_grid else "after finish"
-        if result.ok:
-            print(f"selfcheck: PASS -- {result.total} cells, "
-                  f"SIGKILL {killed} at {result.ok_at_kill} ok, "
-                  "store content matches uninterrupted run, no "
-                  "orphaned workers")
-        else:
-            print(f"selfcheck: FAIL -- {len(result.mismatches)} problem(s) "
-                  f"(SIGKILL {killed} at {result.ok_at_kill} ok)")
-            for mismatch in result.mismatches:
-                print(f"  {mismatch}")
-            failures += 1
-    try:
-        gc_result = run_gc_selfcheck(f"{workdir}/gc")
-    except ReproError as exc:
-        print(f"gc-selfcheck: error: {exc}", file=sys.stderr)
-        failures += 1
-    else:
-        if gc_result.ok:
-            print("gc-selfcheck: PASS -- gc SIGKILLed in its crash window "
-                  "left the store untouched; clean re-gc dropped "
-                  f"{gc_result.errors_dropped} superseded error record(s)")
-        else:
-            print(f"gc-selfcheck: FAIL -- "
-                  f"{len(gc_result.mismatches)} problem(s)")
-            for mismatch in gc_result.mismatches:
-                print(f"  {mismatch}")
-            failures += 1
-    _release_workdir(args, workdir, bool(failures), "selfcheck")
-    return 1 if failures else 0
-
-
 def cmd_campaign_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
@@ -513,25 +462,13 @@ def _add_campaign_subcommands(
                         help="write Markdown here instead of stdout")
     report.set_defaults(func=cmd_campaign_report)
 
-    selfcheck = actions.add_parser(
-        "selfcheck",
-        help="kill/resume equivalence proof: SIGKILL a run mid-grid, "
-             "resume, assert the store matches an uninterrupted run",
-    )
-    selfcheck.add_argument("--workdir", default=None,
-                           help="scratch directory (default: a tempdir)")
-    selfcheck.add_argument("--cells", type=int, default=14)
-    selfcheck.add_argument("--spin-ms", type=float, default=40.0)
-    selfcheck.add_argument("--kill-after", type=int, default=4,
-                           help="completed cells before the SIGKILL")
-    selfcheck.set_defaults(func=cmd_campaign_selfcheck)
-
     chaos = actions.add_parser(
         "chaos",
         help="deterministic fault matrix: inject every fault class "
              "(crashes, hangs, store I/O errors, checkpoint corruption, "
-             "crash loops, poison cells) and assert the surviving store "
-             "is bit-identical in cell content to a clean run",
+             "crash loops, poison cells, a SIGKILLed run and gc) and "
+             "assert the surviving store is bit-identical in cell "
+             "content to a clean run",
     )
     chaos.add_argument("--faults", nargs="+", default=None,
                        help="fault classes to inject (default: all)")

@@ -9,7 +9,7 @@ recorder, workflow controller).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..errors import ConfigurationError, SessionError
 from ..media.audio import AudioSource

@@ -11,7 +11,7 @@ settle time before measurement, scripted layout changes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from ..errors import SessionError

@@ -14,7 +14,7 @@ audio-only roughly halves the drain; the three clients sit within
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np

@@ -10,7 +10,7 @@ video flow back to its sender through the platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, TYPE_CHECKING
 
 from ..errors import SessionError

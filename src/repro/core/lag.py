@@ -15,13 +15,13 @@ analysis, so it would run unchanged over real pcap-derived records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import MeasurementError
-from ..net.capture import Capture, CapturedPacket, Direction
+from ..net.capture import Capture, Direction
 from ..units import to_ms
 
 #: Payload threshold separating video bursts from background chatter

@@ -23,7 +23,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import AnalysisError
-from ..media.frames import FrameSource
 from ..media.padding import PaddedSource, resize_frames
 from ..net.dynamics import PhaseWindow
 from ..media.sync import (

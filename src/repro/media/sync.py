@@ -9,7 +9,7 @@ loudness normalisation.  This module implements all three steps.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import fft as sp_fft

@@ -16,7 +16,7 @@ verbatim so figures match the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from ..errors import ConfigurationError

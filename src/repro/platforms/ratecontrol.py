@@ -22,7 +22,7 @@ the platform modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError

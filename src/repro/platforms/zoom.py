@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..errors import PlatformError
 from ..net.address import ZOOM_UDP_PORT
 from .base import (
     ClientBinding,

@@ -1,9 +1,9 @@
 """The campaign fabric: executors, retries, checkpoints, streaming.
 
-Worker crashes here are real: the ``noop`` calibration kind SIGKILLs
-its own worker process on a cell's first attempt (``crash_flag``), so
-the worker-respawn path is exercised with actual dead processes, not
-mocks.
+Worker crashes here are real: a fault plan's ``cell.crash`` makes the
+worker running one cell SIGKILL itself on that cell's first attempt,
+so the worker-respawn path is exercised with actual dead processes,
+not mocks.
 """
 
 import json
@@ -18,6 +18,8 @@ from repro.analysis.tables import TextTable
 from repro.campaign import (
     CampaignScheduler,
     FabricConfig,
+    FaultPlan,
+    FaultSpec,
     StreamingAggregator,
     build_report,
     calibration_campaign,
@@ -26,6 +28,7 @@ from repro.campaign import (
     status_table,
     watch_store,
 )
+from repro.campaign.fabric import faults
 from repro.campaign.fabric.executors import (
     InlineExecutor,
     WorkerExecutor,
@@ -34,6 +37,25 @@ from repro.campaign.fabric.executors import (
 from repro.campaign.fabric.scheduler import CHECKPOINT_NAME
 from repro.cli import main
 from repro.errors import CampaignError
+
+
+@pytest.fixture
+def crash_once(tmp_path):
+    """Arm the fault plane: the worker running a grid's first cell (by
+    id) SIGKILLs itself once.  Returns ``(plan, crashing cell id)``."""
+
+    def arm(spec):
+        target = sorted(cell.cell_id for cell in spec.expand())[0]
+        plan = FaultPlan(
+            chaos_seed=0,
+            specs=(FaultSpec("cell.crash", cell_id=target),),
+            state_dir=str(tmp_path / "fault-state"),
+        )
+        faults.activate(plan, str(tmp_path / "fault-plan.json"))
+        return plan, target
+
+    yield arm
+    faults.deactivate()
 
 
 def content_keys(store_path):
@@ -121,30 +143,26 @@ class TestExecutors:
 
 
 class TestCrashRecovery:
-    def crash_spec(self, tmp_path, cells=4):
-        flag = str(tmp_path / "crash.flag")
-        return flag, calibration_campaign(
-            cells=cells, crash_flags=(flag,), name="crashy"
-        )
-
-    def test_worker_crash_is_retried_not_fatal(self, tmp_path):
-        flag, spec = self.crash_spec(tmp_path)
+    def test_worker_crash_is_retried_not_fatal(self, tmp_path, crash_once):
+        spec = calibration_campaign(cells=5, name="crashy")
+        plan, _ = crash_once(spec)
         path = str(tmp_path / "workers.jsonl")
         summary = run_campaign(spec, path, workers=2, max_attempts=3)
         assert summary.failed == 0
         assert summary.executed == spec.cell_count()
         assert summary.retried >= 1
-        assert os.path.exists(flag)  # the crash really happened
-        # Retried content matches a crash-free inline run bit for bit.
+        assert plan.fired("cell.crash") == 1  # the crash really happened
+        # Retried content matches a crash-free inline run bit for bit
+        # (the crash never fires in this, the plan's parent, process).
         reference = str(tmp_path / "ref.jsonl")
-        run_campaign(spec, reference, workers=1)  # flag exists: no crash
+        run_campaign(spec, reference, workers=1)
         assert ok_metrics(path) == ok_metrics(reference)
 
-    def test_retry_budget_exhaustion_records_error(self, tmp_path):
-        # Every attempt of the crash cell kills its worker: with the
-        # flag re-deleted by a wrapper we can't do per-attempt, so use
-        # max_attempts=1 -- the single crash exhausts the budget.
-        flag, spec = self.crash_spec(tmp_path, cells=2)
+    def test_retry_budget_exhaustion_records_error(self, tmp_path,
+                                                   crash_once):
+        # max_attempts=1: the crash cell's single crash exhausts it.
+        spec = calibration_campaign(cells=3, name="crashy")
+        crash_once(spec)
         path = str(tmp_path / "exhaust.jsonl")
         summary = run_campaign(spec, path, workers=2, max_attempts=1)
         assert summary.failed >= 1
@@ -165,12 +183,13 @@ class TestCrashRecovery:
         assert summary.failed == 1
         assert "timeout" in summary.records[0].error
 
-    def test_failed_cells_rerun_on_resume(self, tmp_path):
-        flag, spec = self.crash_spec(tmp_path, cells=2)
+    def test_failed_cells_rerun_on_resume(self, tmp_path, crash_once):
+        spec = calibration_campaign(cells=3, name="crashy")
+        crash_once(spec)
         path = str(tmp_path / "resume.jsonl")
         first = run_campaign(spec, path, workers=2, max_attempts=1)
         assert first.failed >= 1
-        # The crash flag now exists, so the rerun succeeds.
+        # The crash is spent, so the rerun succeeds.
         second = run_campaign(
             spec, path, workers=1, resume=True
         )
@@ -187,6 +206,20 @@ class TestScheduler:
             FabricConfig(max_attempts=0)
         with pytest.raises(CampaignError):
             FabricConfig(poison_threshold=0)
+
+    def test_cell_timeout_needs_workers(self, tmp_path, capsys):
+        """One worker runs cells in-process, where nothing can stop an
+        overrunning cell: a timeout there is refused, not ignored."""
+        with pytest.raises(CampaignError, match="cell timeout needs"):
+            FabricConfig(workers=1, cell_timeout_s=0.5)
+        assert FabricConfig(workers=2, cell_timeout_s=0.5).cell_timeout_s
+        store = str(tmp_path / "t.jsonl")
+        assert main([
+            "campaign", "run", "--calibration", "1", "--spin-ms", "3000",
+            "--cell-timeout", "0.5", "--workers", "1", "--store", store,
+        ]) == 2
+        assert "cell timeout needs workers > 1" in capsys.readouterr().err
+        assert not os.path.exists(store)
 
     def test_shard_sizing(self):
         # Inline runs single-cell units, whatever the rate.
@@ -219,10 +252,10 @@ class TestScheduler:
         scheduler.run()
         assert not os.path.exists(path + "." + CHECKPOINT_NAME)
 
-    def test_checkpoint_survives_failure_and_clears_after(self, tmp_path):
-        flag = str(tmp_path / "crash.flag")
-        spec = calibration_campaign(cells=2, crash_flags=(flag,),
-                                    name="ckpt2")
+    def test_checkpoint_survives_failure_and_clears_after(self, tmp_path,
+                                                          crash_once):
+        spec = calibration_campaign(cells=3, name="ckpt2")
+        crash_once(spec)
         path = str(tmp_path / "c.jsonl")
         run_campaign(spec, path, workers=2, max_attempts=1)
         checkpoint = path + "." + CHECKPOINT_NAME
@@ -230,7 +263,7 @@ class TestScheduler:
         state = json.load(open(checkpoint))
         assert state["spec_hash"] == spec.spec_hash()
         assert state["attempts"]  # the crashed cell spent an attempt
-        # Flag exists now; resume completes and clears the checkpoint.
+        # The crash is spent; resume completes and clears the checkpoint.
         run_campaign(spec, path, workers=1, resume=True)
         assert not os.path.exists(checkpoint)
 
@@ -280,16 +313,11 @@ class TestBookkeepingCounts:
         assert not os.path.exists(path + "." + CHECKPOINT_NAME)
 
     def test_spent_attempt_is_on_disk_before_the_next_record(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, crash_once):
         from repro.campaign.store import CampaignStore
 
-        flag = str(tmp_path / "crash.flag")
-        spec = calibration_campaign(cells=4, crash_flags=(flag,),
-                                    name="attempt-on-disk")
-        crash_cell = next(
-            cell.cell_id for cell in spec.expand()
-            if cell.params.get("crash_flag")
-        )
+        spec = calibration_campaign(cells=5, name="attempt-on-disk")
+        _, crash_cell = crash_once(spec)
         absorbed = []
         after_failure = []
         absorb = CampaignScheduler._absorb_failure
@@ -776,10 +804,9 @@ class TestFabricCli:
         assert "campaign 'fromjson'" in capsys.readouterr().out
         assert open_store(store).spec_hash() == spec.spec_hash()
 
-    def test_gc_subcommand(self, tmp_path, capsys):
-        flag = str(tmp_path / "crash.flag")
-        spec = calibration_campaign(cells=3, crash_flags=(flag,),
-                                    name="gccli")
+    def test_gc_subcommand(self, tmp_path, capsys, crash_once):
+        spec = calibration_campaign(cells=4, name="gccli")
+        crash_once(spec)
         spec_path = str(tmp_path / "spec.json")
         spec.save(spec_path)
         store = str(tmp_path / "gc.jsonl")
@@ -818,10 +845,9 @@ class TestFabricCli:
 
 
 class TestScratchWorkdir:
-    """``campaign chaos`` and ``campaign selfcheck`` remove the temp
-    directory they made once every case passes, keep it (and print its
-    path) after a failure, and never delete a ``--workdir`` they were
-    given."""
+    """``campaign chaos`` removes the temp directory it made once every
+    case passes, keeps it (and prints its path) after a failure, and
+    never deletes a ``--workdir`` it was given."""
 
     @pytest.fixture
     def temp_root(self, tmp_path, monkeypatch):
@@ -835,25 +861,6 @@ class TestScratchWorkdir:
             lambda prefix: mkdtemp(prefix=prefix, dir=str(root)),
         )
         return root
-
-    @staticmethod
-    def fake_selfcheck(monkeypatch, mismatches):
-        from repro.campaign import fabric
-        from repro.campaign.fabric import GcSelfCheckResult, SelfCheckResult
-
-        def run_selfcheck(workdir, **_):
-            os.makedirs(workdir)
-            open(os.path.join(workdir, "store.jsonl"), "w").close()
-            return SelfCheckResult(total=4, ok_at_kill=2,
-                                   killed_mid_grid=True, resumed_executed=2,
-                                   mismatches=list(mismatches))
-
-        def run_gc_selfcheck(workdir):
-            os.makedirs(workdir)
-            return GcSelfCheckResult(gc_returncode=-9, errors_dropped=1)
-
-        monkeypatch.setattr(fabric, "run_selfcheck", run_selfcheck)
-        monkeypatch.setattr(fabric, "run_gc_selfcheck", run_gc_selfcheck)
 
     def test_chaos_pass_removes_its_tempdir(self, temp_root, capsys):
         assert main(["campaign", "chaos", "--quick", "--faults", "slow"]) == 0
@@ -876,27 +883,46 @@ class TestScratchWorkdir:
         assert (kept / "evidence.jsonl").exists()
         assert f"chaos: evidence kept in {kept}" in capsys.readouterr().out
 
+    @staticmethod
+    def fake_selfcheck(monkeypatch, mismatches):
+        """Stand in for the kill/resume cases (``sigkill`` and
+        ``gc-crash``, the former ``campaign selfcheck``): each writes a
+        store into its case directory and reports ``mismatches``."""
+        from repro.campaign.fabric import ChaosCaseResult, chaos
+
+        def run_chaos_case(fault, workdir, **_):
+            os.makedirs(workdir)
+            open(os.path.join(workdir, "store.jsonl"), "w").close()
+            return ChaosCaseResult(fault, fired=1, duration_s=0.0,
+                                   mismatches=list(mismatches))
+
+        monkeypatch.setattr(chaos, "run_chaos_case", run_chaos_case)
+
     def test_selfcheck_pass_removes_its_tempdir(self, temp_root, capsys,
                                                 monkeypatch):
         self.fake_selfcheck(monkeypatch, mismatches=())
-        assert main(["campaign", "selfcheck"]) == 0
-        assert "selfcheck: PASS" in capsys.readouterr().out
+        assert main(["campaign", "chaos", "--quick",
+                     "--faults", "sigkill", "gc-crash"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos[sigkill]: PASS" in out
+        assert "2/2 cases survived" in out
         assert list(temp_root.iterdir()) == []
 
     def test_selfcheck_failure_keeps_its_tempdir(self, temp_root, capsys,
                                                  monkeypatch):
         self.fake_selfcheck(monkeypatch, mismatches=("orphaned worker",))
-        assert main(["campaign", "selfcheck"]) == 1
+        assert main(["campaign", "chaos", "--quick",
+                     "--faults", "sigkill", "gc-crash"]) == 1
         (kept,) = temp_root.iterdir()
-        assert (kept / "kill" / "store.jsonl").exists()
+        assert (kept / "sigkill" / "store.jsonl").exists()
         out = capsys.readouterr().out
-        assert "selfcheck: FAIL" in out
-        assert f"selfcheck: evidence kept in {kept}" in out
+        assert "chaos[sigkill]: FAIL" in out
+        assert "  orphaned worker" in out
+        assert f"chaos: evidence kept in {kept}" in out
 
-    def test_given_workdir_is_never_deleted(self, tmp_path, capsys,
-                                            monkeypatch):
-        self.fake_selfcheck(monkeypatch, mismatches=())
+    def test_given_workdir_is_never_deleted(self, tmp_path, capsys):
         workdir = tmp_path / "mine"
-        assert main(["campaign", "selfcheck", "--workdir",
-                     str(workdir)]) == 0
-        assert (workdir / "kill" / "store.jsonl").exists()
+        assert main(["campaign", "chaos", "--quick", "--faults", "slow",
+                     "--workdir", str(workdir)]) == 0
+        assert "1/1 cases survived" in capsys.readouterr().out
+        assert (workdir / "slow" / "store.jsonl").exists()

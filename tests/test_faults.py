@@ -27,7 +27,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.fabric import faults
-from repro.campaign.fabric.selfcheck import _ok_content, _subprocess_env
+from repro.campaign.fabric.chaos import _ok_content, _subprocess_env
 from repro.errors import CampaignError
 
 
@@ -306,6 +306,32 @@ class TestHardeningIntegration:
         assert "inline" in summary.degraded
         assert summary.failed == 0
         assert len(_ok_content(str(tmp_path / "store.jsonl"))) == 4
+
+    @pytest.mark.parametrize("timeout_s", [None, 30.0])
+    def test_degrade_warning_says_when_timeouts_stop(self, tmp_path, capsys,
+                                                     timeout_s):
+        """The inline executor cannot time a cell out, so degrading to
+        it must say so whenever the run had a cell timeout."""
+        spec = calibration_campaign(cells=4, name="crashloop-timeout")
+        plan = FaultPlan(
+            chaos_seed=0,
+            specs=(FaultSpec("executor.crashloop", times=500),),
+            state_dir=str(tmp_path / "state"),
+        )
+        faults.activate(plan, str(tmp_path / "plan.json"))
+        summary = run_campaign(
+            spec, str(tmp_path / "store.jsonl"),
+            workers=2, max_attempts=10, cell_timeout_s=timeout_s,
+            crashloop_threshold=3, poison_threshold=99,
+            backoff_base_s=0.01, backoff_cap_s=0.05,
+        )
+        assert summary.degraded is not None and summary.failed == 0
+        err = capsys.readouterr().err
+        assert "crash-loop breaker tripped" in err
+        if timeout_s is None:
+            assert "timeout" not in err
+        else:
+            assert "the 30s cell timeout is no longer enforced" in err
 
     def test_worker_killed_mid_message_does_not_stall_the_others(
             self, tmp_path):

@@ -1,37 +1,54 @@
 """Kill/resume equivalence, the fabric's core durability claim.
 
-The selfcheck SIGKILLs a real campaign subprocess mid-grid, resumes
-it, and compares the store cell-for-cell against an uninterrupted
-reference run.  Deterministic per-cell seeds make the comparison
-exact: a resumed campaign must be indistinguishable in content from
-one that never died.  A SIGKILLed run cannot shut its worker processes
-down, so they must notice the dead parent and exit by themselves; the
-gc selfcheck does the same for a SIGKILLed compaction.
+The chaos matrix's ``sigkill`` case SIGKILLs a real campaign
+subprocess mid-grid, resumes it, and compares the store cell-for-cell
+against an uninterrupted reference run.  Deterministic per-cell seeds
+make the comparison exact: a resumed campaign must be
+indistinguishable in content from one that never died.  A SIGKILLed
+run cannot shut its worker processes down, so they must notice the
+dead parent and exit by themselves; the ``gc-crash`` case does the
+same for a SIGKILLed compaction.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 
-from repro.campaign import open_store, run_gc_selfcheck, run_selfcheck
-from repro.campaign.fabric.selfcheck import _subprocess_env, surviving_workers
+import pytest
+
+from repro.campaign import calibration_campaign, open_store, run_campaign
+from repro.campaign.fabric.chaos import (
+    _ok_content,
+    _subprocess_env,
+    run_chaos_case,
+    surviving_workers,
+)
 
 
-def test_kill_mid_grid_then_resume_matches_reference(tmp_path):
-    result = run_selfcheck(
-        str(tmp_path),
-        cells=10,
-        spin_ms=30.0,
-        kill_after=3,
-    )
-    assert result.killed_mid_grid, (
-        "campaign finished before the kill landed; selfcheck proved nothing"
+@pytest.fixture
+def grid(tmp_path):
+    """A paced calibration grid and its uninterrupted inline content."""
+    spec = calibration_campaign(cells=10, spin_ms=30.0, name="kill")
+    reference_store = str(tmp_path / "reference.jsonl")
+    run_campaign(spec, reference_store, workers=1)
+    return spec, _ok_content(reference_store)
+
+
+def test_kill_mid_grid_then_resume_matches_reference(tmp_path, grid):
+    spec, reference = grid
+    workdir = tmp_path / "sigkill"
+    result = run_chaos_case("sigkill", str(workdir), reference, spec)
+    assert result.fired == 1, (
+        "campaign finished before the kill landed; the case proved nothing"
     )
     assert result.ok, f"kill/resume mismatches: {result.mismatches}"
-    assert result.total == 11  # the requested cells plus the crash cell
-    assert result.resumed_executed >= 1
+    assert len(reference) == spec.cell_count() == 10
+    resumed = (workdir / "resume.log").read_text()
+    executed = int(re.search(r"(\d+) executed", resumed).group(1))
+    assert executed >= 1
 
 
 def test_sigkilled_run_leaves_no_orphan_workers(tmp_path):
@@ -66,7 +83,7 @@ def test_sigkilled_run_leaves_no_orphan_workers(tmp_path):
     assert orphans == [], f"workers {orphans} outlived their killed parent"
 
 
-def test_gc_killed_in_crash_window_changes_nothing(tmp_path):
+def test_gc_killed_in_crash_window_changes_nothing(tmp_path, grid):
     """Compaction atomicity: a SIGKILLed gc must be a perfect no-op.
 
     The fault plane kills a real ``campaign gc`` subprocess inside its
@@ -74,9 +91,12 @@ def test_gc_killed_in_crash_window_changes_nothing(tmp_path):
     identical, with the superseded-error debris still intact for a
     clean re-gc.
     """
-    result = run_gc_selfcheck(str(tmp_path))
-    assert result.gc_returncode == -signal.SIGKILL, (
+    spec, reference = grid
+    result = run_chaos_case("gc-crash", str(tmp_path / "gc"), reference,
+                            spec)
+    assert not any("expected -SIGKILL" in m for m in result.mismatches), (
         "gc subprocess was not killed by the fault plane"
     )
     assert result.ok, f"gc atomicity violations: {result.mismatches}"
-    assert result.errors_dropped >= 1
+    dropped = int(re.search(r"re-gc dropped (\d+)", result.detail).group(1))
+    assert dropped >= 1

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.campaign.fabric.selfcheck import _subprocess_env
+from repro.campaign.fabric.chaos import _subprocess_env
 
 SRC = Path(repro.__file__).resolve().parent
 
