@@ -82,6 +82,57 @@ class ToneSource(AudioSource):
         )
 
 
+#: The voicing term ``0.35 * signal * envelope`` of
+#: :class:`SpeechLikeSource`, by absolute sample index, one buffer per
+#: voicing-parameter tuple: ``key -> (buffer, generated)``, where
+#: ``buffer[:generated]`` is valid.  Every source in the process with the
+#: same voicing reads one copy, whatever its seed; a buffer grows by
+#: doubling, so it holds at most twice the longest read.
+_VOICING: dict[tuple, tuple[np.ndarray, int]] = {}
+_EMPTY = np.empty(0, dtype=np.float64)
+
+
+def _voicing_block(
+    sample_rate: int,
+    fundamental_hz: float,
+    syllable_rate_hz: float,
+    phrase_duration_s: float,
+    pause_duration_s: float,
+    start: int,
+    count: int,
+) -> np.ndarray:
+    """The voicing term for samples ``[start, start + count)``.
+
+    Each sample depends only on its own index, so any block equals the
+    matching slice of a longer one.
+    """
+    n = np.arange(start, start + count, dtype=np.float64)
+    t = n / sample_rate
+
+    # Voicing: fundamental with 5 Hz vibrato of +-3%.
+    vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * 5.0 * t)
+    phase = 2.0 * np.pi * fundamental_hz * vibrato * t
+
+    # All six harmonics in one (6, count) sine call; the per-sample
+    # products and the harmonic-order accumulation are unchanged,
+    # so the summed signal matches the per-harmonic loop exactly.
+    harmonics = np.arange(1.0, 7.0)
+    sines = np.sin(harmonics[:, None] * phase)
+    signal = np.zeros_like(t)
+    for k, harmonic in enumerate(harmonics):
+        rolloff = 1.0 / harmonic
+        tilt = np.exp(-0.3 * (harmonic - 2.0) ** 2 / 4.0)  # formant bump
+        signal += rolloff * tilt * sines[k]
+
+    # Syllable envelope: raised cosine at the syllable rate.
+    envelope = 0.5 * (1.0 - np.cos(2.0 * np.pi * syllable_rate_hz * t))
+
+    # Phrase gating: silence during the pause tail of each phrase.
+    in_phrase = (t % phrase_duration_s) < (phrase_duration_s - pause_duration_s)
+    envelope = envelope * in_phrase
+    return 0.35 * signal * envelope
+
+
 class SpeechLikeSource(AudioSource):
     """Synthetic voiced speech: harmonics + syllabic envelope + pauses.
 
@@ -93,6 +144,11 @@ class SpeechLikeSource(AudioSource):
     * a pause of ``pause_duration_s`` every ``phrase_duration_s``
       (sentence rhythm),
     * low-level breath noise.
+
+    Only the breath noise depends on the seed.  The voicing (the first
+    four items) is synthesised once per process for each tuple of
+    voicing parameters and shared by every source that has them; each
+    read adds this source's noise to a slice of it and clips.
     """
 
     def __init__(
@@ -106,9 +162,11 @@ class SpeechLikeSource(AudioSource):
         noise_level: float = 0.01,
     ) -> None:
         super().__init__(sample_rate, seed)
-        if fundamental_hz <= 0 or syllable_rate_hz <= 0:
+        # Negated comparisons, so NaN fails them: a NaN key never equals
+        # itself, and each such source would leave a voicing buffer behind.
+        if not (fundamental_hz > 0 and syllable_rate_hz > 0):
             raise ConfigurationError("rates must be positive")
-        if pause_duration_s >= phrase_duration_s:
+        if not pause_duration_s < phrase_duration_s:
             raise ConfigurationError("pause must be shorter than the phrase")
         self.fundamental_hz = fundamental_hz
         self.syllable_rate_hz = syllable_rate_hz
@@ -121,67 +179,42 @@ class SpeechLikeSource(AudioSource):
         self._noise_buffer = np.random.default_rng(self.seed).standard_normal(
             self.sample_rate
         )
-        #: Samples ``[0, _generated)`` generated so far, by absolute
-        #: index; the buffer grows by doubling.
-        self._memo = np.empty(0, dtype=np.float64)
-        self._generated = 0
 
     def samples(self, start: int, count: int) -> np.ndarray:
-        """``count`` samples from ``start``, generated at most once.
+        """``count`` samples from ``start``, as a new array.
 
-        The streamer reads the source tick by tick and scoring re-reads
-        the whole reference afterwards, so every sample is generated
-        once into a per-source memo and reads return copies of it.
-        Each sample depends only on its own index, so the memo holds
-        exactly what a direct generation of any window would give.
+        The voicing is read from the process-level buffer for this
+        source's current voicing parameters, synthesising only samples
+        no earlier read reached; the seeded breath noise is added per
+        read, with the same float operations in the same order as a
+        direct generation of the window.
         """
         if start < 0 or count < 0:
             raise MediaError(f"invalid sample window: {start}+{count}")
         end = start + count
-        if end > self._generated:
-            if end > len(self._memo):
-                grown = np.empty(max(end, 2 * len(self._memo)), dtype=np.float64)
-                grown[: self._generated] = self._memo[: self._generated]
-                self._memo = grown
-            self._memo[self._generated : end] = self._generate(
-                self._generated, end - self._generated
-            )
-            self._generated = end
-        return self._memo[start:end].copy()
-
-    def _generate(self, start: int, count: int) -> np.ndarray:
-        n = np.arange(start, start + count, dtype=np.float64)
-        t = n / self.sample_rate
-
-        # Voicing: fundamental with 5 Hz vibrato of +-3%.
-        vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * 5.0 * t)
-        phase = 2.0 * np.pi * self.fundamental_hz * vibrato * t
-
-        # All six harmonics in one (6, count) sine call; the per-sample
-        # products and the harmonic-order accumulation are unchanged,
-        # so the summed signal matches the per-harmonic loop exactly.
-        harmonics = np.arange(1.0, 7.0)
-        sines = np.sin(harmonics[:, None] * phase)
-        signal = np.zeros_like(t)
-        for k, harmonic in enumerate(harmonics):
-            rolloff = 1.0 / harmonic
-            tilt = np.exp(-0.3 * (harmonic - 2.0) ** 2 / 4.0)  # formant bump
-            signal += rolloff * tilt * sines[k]
-
-        # Syllable envelope: raised cosine at the syllable rate.
-        envelope = 0.5 * (
-            1.0 - np.cos(2.0 * np.pi * self.syllable_rate_hz * t)
+        key = (
+            self.sample_rate,
+            self.fundamental_hz,
+            self.syllable_rate_hz,
+            self.phrase_duration_s,
+            self.pause_duration_s,
         )
+        buffer, generated = _VOICING.get(key, (_EMPTY, 0))
+        if end > generated:
+            if end > len(buffer):
+                grown = np.empty(max(end, 2 * len(buffer)), dtype=np.float64)
+                grown[:generated] = buffer[:generated]
+                buffer = grown
+            buffer[generated:end] = _voicing_block(*key, generated, end - generated)
+            _VOICING[key] = (buffer, end)
 
-        # Phrase gating: silence during the pause tail of each phrase.
-        in_phrase = (t % self.phrase_duration_s) < (
-            self.phrase_duration_s - self.pause_duration_s
-        )
-        envelope = envelope * in_phrase
-
-        # Deterministic breath noise: a fixed per-seed buffer tiled
-        # over the sample index (computed once in __init__).
-        noise = self._noise_buffer[(n.astype(np.int64)) % len(self._noise_buffer)]
-
-        out = 0.35 * signal * envelope + self.noise_level * noise
-        return np.clip(out, -1.0, 1.0)
+        # Deterministic breath noise: the per-seed buffer tiled over
+        # the sample index, from this read's offset into it.
+        noise = self._noise_buffer
+        offset = start % len(noise)
+        if offset + count <= len(noise):
+            noise = noise[offset : offset + count]
+        else:
+            noise = np.resize(np.roll(noise, -offset), count)
+        out = buffer[start:end] + self.noise_level * noise
+        return np.clip(out, -1.0, 1.0, out=out)

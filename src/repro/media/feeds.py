@@ -20,10 +20,25 @@ These classes generate frames with the same *statistical* character:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
 from .frames import FrameSource, FrameSpec, smooth_noise_texture, to_uint8
+
+
+def _span(center: float, half: float, size: int) -> slice:
+    """Indices of a frame axis within ``half`` of ``center``, plus 1 px.
+
+    A shape test ``(d / half) ** 2 <= 1`` can round to true when ``|d|``
+    exceeds ``half`` by under an ulp, so the margin keeps every pixel
+    the full-frame test would paint.  A non-finite centre paints none.
+    """
+    if not math.isfinite(center):
+        return slice(0, 0)
+    low = max(0, math.floor(center - half) - 1)
+    return slice(low, min(size, math.ceil(center + half) + 2))
 
 
 class StaticFeed(FrameSource):
@@ -67,14 +82,19 @@ class LowMotionFeed(FrameSource):
         self._head_texture = smooth_noise_texture(
             self._rng_for(2), spec.shape, smoothness=3.0, low=120, high=230
         )
-        # ``(H, 1)`` and ``(1, W)`` coordinate vectors: each shape test
-        # broadcasts them over the full frame, so no float64 coordinate
-        # planes are kept.
+        # ``(H, 1)`` and ``(1, W)`` coordinate vectors: each shape is
+        # tested only inside its bounding box (``_span``), so no float64
+        # coordinate planes are kept and no full-frame mask is built.
         self._ys = np.arange(spec.height, dtype=np.float64)[:, None]
         self._xs = np.arange(spec.width, dtype=np.float64)[None, :]
-        # Shoulders: a static trapezoid below the head.
-        self._shoulders = (self._ys > spec.height * 0.66) & (
-            np.abs(self._xs - spec.width * 0.5) < spec.width * 0.28
+        # Shoulders: a static rectangle below the head, as a slice.
+        rows = np.flatnonzero(self._ys[:, 0] > spec.height * 0.66)
+        cols = np.flatnonzero(
+            np.abs(self._xs[0] - spec.width * 0.5) < spec.width * 0.28
+        )
+        self._shoulders = (
+            slice(rows[0], rows[-1] + 1),
+            slice(cols[0], cols[-1] + 1),
         )
 
     def frame(self, index: int) -> np.ndarray:
@@ -90,11 +110,16 @@ class LowMotionFeed(FrameSource):
             2.0 * np.pi * 0.3 * t + 1.0
         )
         ry, rx = spec.height * 0.22, spec.width * 0.14
-        head = ((self._ys - cy) / ry) ** 2 + ((self._xs - cx) / rx) ** 2 <= 1.0
-        frame[head] = self._head_texture[head]
+        box = (_span(cy, ry, spec.height), _span(cx, rx, spec.width))
+        head = (
+            ((self._ys[box[0]] - cy) / ry) ** 2
+            + ((self._xs[:, box[1]] - cx) / rx) ** 2
+        ) <= 1.0
+        np.copyto(frame[box], self._head_texture[box], where=head)
 
-        shoulders = self._shoulders
-        frame[shoulders] = 0.5 * frame[shoulders] + 45.0
+        shoulders = frame[self._shoulders]
+        shoulders *= 0.5
+        shoulders += 45.0
 
         # Occasional hand gesture: a bright blob sweeping sideways.
         phase = t % self.gesture_period_s
@@ -103,8 +128,11 @@ class LowMotionFeed(FrameSource):
             gx = spec.width * (0.30 + 0.4 * progress)
             gy = spec.height * 0.8
             radius = spec.width * 0.05
-            blob = ((self._ys - gy) ** 2 + (self._xs - gx) ** 2) <= radius**2
-            frame[blob] = 235.0
+            box = (_span(gy, radius, spec.height), _span(gx, radius, spec.width))
+            blob = (
+                (self._ys[box[0]] - gy) ** 2 + (self._xs[:, box[1]] - gx) ** 2
+            ) <= radius**2
+            np.copyto(frame[box], 235.0, where=blob)
         return to_uint8(frame)
 
 
@@ -134,12 +162,15 @@ class HighMotionFeed(FrameSource):
         self.pan_speed_px = pan_speed_px
         self.scene_duration_s = scene_duration_s
         self.num_objects = num_objects
-        self._scene_cache: dict[int, np.ndarray] = {}
+        #: Scene index -> (wide texture, object parameters); at most 9.
+        self._scene_cache: dict[int, tuple[np.ndarray, list[tuple]]] = {}
+        # Each object's disc is tested only inside its bounding box.
         self._ys = np.arange(spec.height, dtype=np.float64)[:, None]
         self._xs = np.arange(spec.width, dtype=np.float64)[None, :]
 
-    def _scene_texture(self, scene_index: int) -> np.ndarray:
-        """A wide texture for one scene; cached, panned by column roll."""
+    def _scene(self, scene_index: int) -> tuple[np.ndarray, list[tuple]]:
+        """One scene's wide texture (panned by column roll) and its
+        objects' ``(x0, y0, vx, vy, brightness)``; cached per scene."""
         if scene_index not in self._scene_cache:
             if len(self._scene_cache) > 8:
                 self._scene_cache.clear()
@@ -151,33 +182,40 @@ class HighMotionFeed(FrameSource):
                 low=30,
                 high=225,
             )
-            self._scene_cache[scene_index] = texture
+            # Each object: linear trajectory with its own velocity.
+            rng = self._rng_for(500 + scene_index)
+            objects = [
+                (
+                    rng.uniform(0, self.spec.width),
+                    rng.uniform(0, self.spec.height),
+                    rng.uniform(-6, 6),
+                    rng.uniform(-4, 4),
+                    rng.uniform(200, 255),
+                )
+                for _ in range(self.num_objects)
+            ]
+            self._scene_cache[scene_index] = (texture, objects)
         return self._scene_cache[scene_index]
 
     def frame(self, index: int) -> np.ndarray:
         spec = self.spec
-        t = index / spec.fps
         frames_per_scene = max(1, int(self.scene_duration_s * spec.fps))
         scene_index = index // frames_per_scene
         within = index % frames_per_scene
 
-        texture = self._scene_texture(scene_index)
+        texture, objects = self._scene(scene_index)
         offset = int(within * self.pan_speed_px) % spec.width
         frame = texture[:, offset : offset + spec.width].copy()
 
-        rng = self._rng_for(500 + scene_index)
-        for obj in range(self.num_objects):
-            # Each object: linear trajectory with its own velocity.
-            x0 = rng.uniform(0, spec.width)
-            y0 = rng.uniform(0, spec.height)
-            vx = rng.uniform(-6, 6)
-            vy = rng.uniform(-4, 4)
-            brightness = rng.uniform(200, 255)
+        radius = spec.width * 0.04
+        for x0, y0, vx, vy, brightness in objects:
             ox = (x0 + vx * within) % spec.width
             oy = (y0 + vy * within) % spec.height
-            radius = spec.width * 0.04
-            blob = ((self._ys - oy) ** 2 + (self._xs - ox) ** 2) <= radius**2
-            frame[blob] = brightness
+            box = (_span(oy, radius, spec.height), _span(ox, radius, spec.width))
+            blob = (
+                (self._ys[box[0]] - oy) ** 2 + (self._xs[:, box[1]] - ox) ** 2
+            ) <= radius**2
+            np.copyto(frame[box], brightness, where=blob)
         return to_uint8(frame)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CodecError, ConfigurationError, MediaError
+from repro.media import audio
 from repro.media.audio import (
     SilenceSource,
     SpeechLikeSource,
@@ -61,6 +62,14 @@ class TestSources:
         source = ToneSource()
         assert len(source.read_duration(0.0, 0.5)) == 8000
 
+    @pytest.mark.parametrize("field", [
+        "fundamental_hz", "syllable_rate_hz", "phrase_duration_s",
+        "pause_duration_s",
+    ])
+    def test_speech_rejects_nan_voicing(self, field):
+        with pytest.raises(ConfigurationError):
+            SpeechLikeSource(**{field: float("nan")})
+
     def test_speech_rejects_negative_window(self):
         with pytest.raises(MediaError):
             SpeechLikeSource().samples(-1, 10)
@@ -68,9 +77,42 @@ class TestSources:
             SpeechLikeSource().samples(0, -1)
 
 
+def _reference_generate(source, start, count):
+    """``SpeechLikeSource`` samples generated directly for one window.
+
+    The whole formula, voicing and breath noise, from the source's
+    current attributes and seed, with nothing cached or shared.
+    """
+    n = np.arange(start, start + count, dtype=np.float64)
+    t = n / source.sample_rate
+    vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * 5.0 * t)
+    phase = 2.0 * np.pi * source.fundamental_hz * vibrato * t
+    harmonics = np.arange(1.0, 7.0)
+    sines = np.sin(harmonics[:, None] * phase)
+    signal = np.zeros_like(t)
+    for k, harmonic in enumerate(harmonics):
+        rolloff = 1.0 / harmonic
+        tilt = np.exp(-0.3 * (harmonic - 2.0) ** 2 / 4.0)
+        signal += rolloff * tilt * sines[k]
+    envelope = 0.5 * (
+        1.0 - np.cos(2.0 * np.pi * source.syllable_rate_hz * t)
+    )
+    in_phrase = (t % source.phrase_duration_s) < (
+        source.phrase_duration_s - source.pause_duration_s
+    )
+    envelope = envelope * in_phrase
+    noise_buffer = np.random.default_rng(source.seed).standard_normal(
+        source.sample_rate
+    )
+    noise = noise_buffer[(n.astype(np.int64)) % len(noise_buffer)]
+    out = 0.35 * signal * envelope + source.noise_level * noise
+    return np.clip(out, -1.0, 1.0)
+
+
 class TestSpeechMemo:
-    """``SpeechLikeSource.samples`` memoises by absolute sample index;
-    any read sequence must give what a fresh source gives."""
+    """``SpeechLikeSource.samples`` reads a process-level voicing buffer
+    by absolute sample index; any read sequence must give what a fresh
+    source gives."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -91,7 +133,7 @@ class TestSpeechMemo:
             fresh = SpeechLikeSource(seed=seed)
             assert np.array_equal(got, fresh.samples(start, count))
             # ...and what generating only this window gives.
-            assert np.array_equal(got, fresh._generate(start, count))
+            assert np.array_equal(got, _reference_generate(fresh, start, count))
 
     def test_overlap_backward_and_empty_reads(self):
         memo = SpeechLikeSource(seed=7)
@@ -107,8 +149,11 @@ class TestSpeechMemo:
         fresh = SpeechLikeSource(seed=2).read_duration(0, 16)
         ticks = [memo.read_duration(k * 0.1, 0.1) for k in range(160)]
         assert np.array_equal(np.concatenate(ticks), fresh)
-        assert np.array_equal(ticks[37], memo._generate(37 * 1600, 1600))
+        assert np.array_equal(
+            ticks[37], _reference_generate(memo, 37 * 1600, 1600)
+        )
         assert np.array_equal(memo.read_duration(0, 16), fresh)
+        assert np.array_equal(fresh, _reference_generate(memo, 0, 256_000))
 
     def test_returned_arrays_are_copies(self):
         memo = SpeechLikeSource(seed=4)
@@ -117,6 +162,120 @@ class TestSpeechMemo:
         first[:] = 5.0
         assert np.array_equal(memo.samples(100, 400), want)
         assert np.array_equal(memo.samples(0, 1000)[100:500], want)
+        # The shared voicing is untouched for every other source too.
+        other = SpeechLikeSource(seed=5)
+        assert np.array_equal(
+            other.samples(100, 400), _reference_generate(other, 100, 400)
+        )
+
+
+#: Voicing-parameter tuples the shared-buffer tests mix in one process:
+#: (sample_rate, fundamental_hz, syllable_rate_hz, phrase_duration_s,
+#: pause_duration_s, noise_level).
+VOICINGS = [
+    (16_000, 120.0, 4.0, 3.0, 0.4, 0.01),
+    (16_000, 120, 4, 3, 0.4, 0.2),
+    (8_000, 97.5, 3.0, 1.0, 0.3, 0.01),
+    (16_000, 151.25, 5.5, 2.0, 0.25, 0.0),
+    (11_025, 210.0, 2.5, 0.75, 0.5, 0.05),
+]
+
+
+def _source(voicing, seed):
+    rate, f0, syllable, phrase, pause, noise = VOICINGS[voicing]
+    return SpeechLikeSource(
+        sample_rate=rate, seed=seed, fundamental_hz=f0,
+        syllable_rate_hz=syllable, phrase_duration_s=phrase,
+        pause_duration_s=pause, noise_level=noise,
+    )
+
+
+class TestSharedVoicing:
+    """Sources of any seed and voicing share one voicing buffer per
+    voicing tuple, and every read equals a direct generation."""
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        # A fresh process-level cache, with each synthesised block logged.
+        calls = []
+        block = audio._voicing_block
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(audio, "_VOICING", {})
+        monkeypatch.setattr(audio, "_voicing_block", counted)
+        return calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sources=st.lists(
+            st.tuples(st.integers(0, len(VOICINGS) - 1), st.integers(0, 30)),
+            min_size=1,
+            max_size=4,
+        ),
+        reads=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 40_000),
+                # Short reads, and reads spanning several noise periods.
+                st.integers(0, 3000) | st.integers(8000, 30_000),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+    )
+    def test_any_mix_of_sources_and_reads_matches_reference(
+        self, sources, reads
+    ):
+        made = [_source(voicing, seed) for voicing, seed in sources]
+        for which, start, count in reads:
+            source = made[which % len(made)]
+            got = source.samples(start, count)
+            assert got.shape == (count,) and got.dtype == np.float64
+            assert np.array_equal(
+                got, _reference_generate(source, start, count)
+            )
+
+    def test_two_seeds_synthesise_the_voicing_once(self, block_calls):
+        a = SpeechLikeSource(seed=1)
+        b = SpeechLikeSource(seed=2)
+        got_a = a.samples(0, 4000)
+        got_b = b.samples(0, 4000)
+        b.samples(100, 2000)
+        assert len(block_calls) == 1
+        assert not np.array_equal(got_a, got_b)
+        assert np.array_equal(got_a, _reference_generate(a, 0, 4000))
+        assert np.array_equal(got_b, _reference_generate(b, 0, 4000))
+        # A longer read synthesises only the samples not yet reached.
+        assert np.array_equal(
+            a.samples(3000, 2000), _reference_generate(a, 3000, 2000)
+        )
+        assert len(block_calls) == 2 and block_calls[-1][-2:] == (4000, 1000)
+        # Another voicing tuple has its own buffer.
+        c = SpeechLikeSource(seed=1, fundamental_hz=130.0)
+        assert np.array_equal(
+            c.samples(0, 500), _reference_generate(c, 0, 500)
+        )
+        assert len(block_calls) == 3
+
+    def test_voicing_attributes_changed_after_construction(self, block_calls):
+        source = SpeechLikeSource(seed=3)
+        before = source.samples(0, 2000)
+        source.fundamental_hz = 150.0
+        source.phrase_duration_s = 0.1
+        source.pause_duration_s = 0.05
+        source.syllable_rate_hz = 7.0
+        source.noise_level = 0.1
+        after = source.samples(0, 2000)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, _reference_generate(source, 0, 2000))
+        assert len(block_calls) == 2
+        # The default voicing's buffer is unchanged by the switch.
+        assert np.array_equal(
+            SpeechLikeSource(seed=3).samples(0, 2000), before
+        )
 
 
 class TestAudioCodecConfig:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, MediaError
 from repro.media.feeds import FlashFeed, HighMotionFeed, LowMotionFeed, StaticFeed
@@ -184,7 +185,7 @@ def _full_grid_high_motion(feed, index):
     frames_per_scene = max(1, int(feed.scene_duration_s * spec.fps))
     scene_index = index // frames_per_scene
     within = index % frames_per_scene
-    texture = feed._scene_texture(scene_index)
+    texture = feed._scene(scene_index)[0]
     offset = int(within * feed.pan_speed_px) % spec.width
     frame = texture[:, offset : offset + spec.width].copy()
     rng = feed._rng_for(500 + scene_index)
@@ -239,6 +240,117 @@ class TestFeedExactness:
             feed.frame(index)
         np.testing.assert_array_equal(feed.frame(3), first)
         np.testing.assert_array_equal(first, _full_grid_high_motion(feed, 3))
+
+    def test_high_motion_revisited_scene_object_parameters(self, small_spec):
+        # Object parameters are drawn once per scene and cached beside
+        # its texture; after eviction a revisit draws them again, from
+        # the same generator in the same order.
+        feed = HighMotionFeed(small_spec, seed=6, num_objects=4)
+        frames_per_scene = int(3 * small_spec.fps)
+        first = list(feed._scene(1)[1])
+        rng = feed._rng_for(500 + 1)
+        assert first == [
+            tuple(rng.uniform(*bounds) for bounds in (
+                (0, small_spec.width), (0, small_spec.height),
+                (-6, 6), (-4, 4), (200, 255),
+            ))
+            for _ in range(4)
+        ]
+        frame = feed.frame(frames_per_scene + 5)
+        for scene in range(2, 14):
+            feed.frame(scene * frames_per_scene)
+        assert 1 not in feed._scene_cache
+        np.testing.assert_array_equal(feed.frame(frames_per_scene + 5), frame)
+        assert feed._scene(1)[1] == first
+        np.testing.assert_array_equal(
+            frame, _full_grid_high_motion(feed, frames_per_scene + 5)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(16, 97),
+        height=st.integers(16, 97),
+        fps=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+        indices=st.lists(st.integers(0, 2000), min_size=1, max_size=4),
+        bob=st.floats(-150.0, 150.0),
+        gesture=st.tuples(st.floats(0.05, 6.0), st.floats(0.05, 6.0)),
+        num_objects=st.integers(0, 12),
+    )
+    def test_windowed_shapes_match_full_grid(
+        self, width, height, fps, seed, indices, bob, gesture, num_objects
+    ):
+        # A bob of up to 150 px pushes the head past every frame edge,
+        # and object discs wrap anywhere in the frame, so shapes are
+        # clipped at each edge across examples.
+        spec = FrameSpec(width, height, fps)
+        low = LowMotionFeed(
+            spec, seed=seed, bob_amplitude_px=bob,
+            gesture_period_s=gesture[0], gesture_duration_s=gesture[1],
+        )
+        high = HighMotionFeed(spec, seed=seed, num_objects=num_objects)
+        for index in indices:
+            np.testing.assert_array_equal(
+                low.frame(index), _full_grid_low_motion(low, index)
+            )
+            np.testing.assert_array_equal(
+                high.frame(index), _full_grid_high_motion(high, index)
+            )
+
+    @pytest.mark.parametrize("width,height", [(16, 16), (97, 16), (16, 97)])
+    def test_shapes_clipped_at_each_frame_edge(self, width, height):
+        # A head bobbing by the frame size and a gesture lasting the
+        # whole period: at 120 fps the head moves under its own size
+        # per frame, so over 400 frames it straddles all four edges
+        # (checked below), and the blob sweeps the lower band.
+        spec = FrameSpec(width, height, 120)
+        bob = float(max(width, height))
+        feed = LowMotionFeed(
+            spec, seed=1, bob_amplitude_px=bob,
+            gesture_period_s=2.0, gesture_duration_s=2.0,
+        )
+        crossed = set()
+        for index in range(400):
+            np.testing.assert_array_equal(
+                feed.frame(index), _full_grid_low_motion(feed, index)
+            )
+            t = index / spec.fps
+            cy = height * 0.42 + bob * np.sin(2.0 * np.pi * 0.5 * t)
+            cx = width * 0.5 + bob * 0.6 * np.sin(2.0 * np.pi * 0.3 * t + 1.0)
+            ry, rx = height * 0.22, width * 0.14
+            crossed |= {
+                edge for edge, past in [
+                    ("top", cy - ry < 0 < cy + ry),
+                    ("bottom", cy - ry < height - 1 < cy + ry),
+                    ("left", cx - rx < 0 < cx + rx),
+                    ("right", cx - rx < width - 1 < cx + rx),
+                ] if past
+            }
+        assert crossed == {"top", "bottom", "left", "right"}
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bob", [float("inf"), float("nan")])
+    def test_non_finite_bob_paints_no_head(self, small_spec, bob):
+        # The full-grid test is false everywhere for a NaN centre.
+        feed = LowMotionFeed(small_spec, bob_amplitude_px=bob)
+        for index in (0, 1):
+            np.testing.assert_array_equal(
+                feed.frame(index), _full_grid_low_motion(feed, index)
+            )
+
+    @pytest.mark.parametrize("size", [20, 40, 50, 100])
+    def test_shape_boundaries_on_pixel_centres(self, size):
+        # No bob: the head is centred at row 0.42 * size, column
+        # size / 2, with row radius 0.22 * size; the blob starts at row
+        # 0.8 * size, column 0.3 * size, with radius size / 20.  The
+        # head's lowest point (sizes 50, 100) and the blob's edges
+        # (sizes 20, 40, 100) land exactly on pixel centres, which the
+        # full-grid test paints and each bounding box must include.
+        feed = LowMotionFeed(FrameSpec(size, size, 30), bob_amplitude_px=0.0)
+        for index in (0, 1, 5):
+            np.testing.assert_array_equal(
+                feed.frame(index), _full_grid_low_motion(feed, index)
+            )
 
     @pytest.mark.parametrize("pad_fraction", [0.0, 0.1, 0.15, 0.3])
     @pytest.mark.parametrize("width,height", [(16, 16), (17, 33), (64, 48)])
