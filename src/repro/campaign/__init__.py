@@ -11,8 +11,8 @@ campaign:
   to the experiment drivers and serializing their results,
 * :mod:`repro.campaign.store` / :mod:`~repro.campaign.stores` -- the
   one result store, :class:`CampaignStore`: an append-only JSONL file
-  (:func:`open_store`) with spec-hash integrity checking, a
-  configurable fsync cadence and crash-safe compaction,
+  (:func:`open_store`) with spec-hash integrity checking, an fsync
+  after every record and crash-safe compaction,
 * :mod:`repro.campaign.fabric` -- the campaign fabric: sharded
   scheduling in-process or over owned, crash-recovering worker
   processes, per-cell retry/timeout, durable checkpoints, streaming

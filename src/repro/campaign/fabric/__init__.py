@@ -6,7 +6,8 @@ grid is too big for one process and one sitting:
 * :mod:`~repro.campaign.fabric.executors` -- where cells run: inline,
   or N owned, crash-recovering worker processes,
 * :mod:`~repro.campaign.fabric.scheduler` -- sharding, dispatch,
-  per-cell retry budgets, timeouts, durable checkpoints,
+  the one failure policy (per-cell retry budgets, poison quarantine,
+  the crash-loop breaker), timeouts, durable checkpoints,
 * :mod:`~repro.campaign.fabric.streaming` -- incremental folding of
   arriving records into live paper tables and progress,
 * :mod:`~repro.campaign.fabric.watch` -- read-only live status over

@@ -56,23 +56,17 @@ class CellDone:
 
 @dataclass(frozen=True)
 class UnitFailed:
-    """A unit's executor died under it (crash/timeout), not the cell.
+    """A unit that produced no result for ``pending``.
 
-    ``pending`` holds the payloads that produced no result; the
-    scheduler requeues or error-records them by retry budget.
-
-    ``worker_death`` marks failures where the worker *executing this
-    unit* actually died (crash or timeout-kill), as opposed to an
-    orderly abandon.  The scheduler's poison-cell accounting
-    attributes a kill to the unit's first unfinished cell only when
-    this is set, so innocents never accumulate kills toward
-    quarantine.
+    :meth:`WorkerExecutor.poll` reports one when the worker holding the
+    unit died (crash or timeout kill); cells run in order, so it died
+    under ``pending[0]``.  ``abandon()`` reports one per surrendered
+    unit, an orderly handoff with reason ``"executor abandoned"``.
     """
 
     unit_id: int
     pending: "tuple[Dict[str, Any], ...]"
     reason: str
-    worker_death: bool = False
 
 
 Event = Any
@@ -283,12 +277,8 @@ class WorkerExecutor:
                     payload for payload in slot.unit.payloads
                     if payload["cell_id"] not in slot.reported
                 )
-                # This worker owned the unit outright, so both death
-                # and timeout-kill are real worker deaths; cells run
-                # in order, so pending[0] is the cell it died under.
                 events.append(
-                    UnitFailed(slot.unit.unit_id, pending, reason,
-                               worker_death=True)
+                    UnitFailed(slot.unit.unit_id, pending, reason)
                 )
             self._slots[index] = self._spawn_slot()
         self._dispatch()
@@ -302,10 +292,10 @@ class WorkerExecutor:
     def abandon(self) -> List[UnitFailed]:
         """Surrender every queued and in-flight unit.
 
-        Returns one ``UnitFailed`` per surrendered unit (with
-        ``worker_death=False`` -- an orderly handoff, not a crash) and
-        forgets them, so the crash-loop breaker can resubmit their
-        pending payloads to an ``inline`` executor.
+        Returns one ``UnitFailed`` per surrendered unit (an orderly
+        handoff, not a crash) and forgets them, so the crash-loop
+        breaker can resubmit their pending payloads to an ``inline``
+        executor.
         """
         events = [
             UnitFailed(unit.unit_id, unit.payloads, "executor abandoned")

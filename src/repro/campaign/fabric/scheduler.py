@@ -7,16 +7,23 @@
   into :class:`~repro.campaign.fabric.executors.WorkUnit`\\ s sized for
   the executor,
 * dispatches through an inline or worker executor and folds events --
-  cells append to the store *as they arrive*, unit failures (worker
-  crash, timeout) consume one retry attempt per pending cell and
-  requeue *after a deterministic exponential backoff*,
-* exhausted retry budgets become synthesized error records, so the
-  campaign always terminates with one final outcome per cell,
-* detects poison cells -- a cell whose worker deaths reach
-  ``poison_threshold`` is quarantined with a ``fabric:poison`` record
-  instead of burning more respawns -- and breaks crash loops by
-  degrading a repeatedly-dying worker executor to ``inline`` with a
-  loud warning,
+  cells append to the store *as they arrive*,
+* applies one failure policy with no options beyond ``workers`` and
+  ``max_attempts``.  A worker death (crash or timeout kill) charges
+  one attempt to the cell the worker died under, and only to it: the
+  unit's other unfinished cells never ran and requeue at no charge.  A
+  charged cell retries *after a deterministic exponential backoff*
+  (:data:`BACKOFF_BASE_S`, :data:`BACKOFF_CAP_S`).  A cell whose
+  worker died on every one of ``max_attempts >= 2`` attempts is
+  poison: it is quarantined with a ``fabric:poison`` record.  With
+  ``max_attempts == 1`` the death gets a plain ``fabric:`` error
+  record, which a resume runs again,
+* breaks crash loops: when worker deaths hit more distinct cells than
+  there are workers with no cell completing in between, the executor
+  is at fault, not the cells.  The attempts charged during that streak
+  are refunded and the worker executor degrades to ``inline`` with a
+  loud warning.  A streak of at most ``workers`` poison cells
+  therefore never trips it,
 * persists a checkpoint sidecar (attempt counts, quarantine state,
   degradation, live backoff waits) atomically alongside the store
   each time that state changes (a clean run writes none), so
@@ -69,46 +76,39 @@ MAX_SHARD_SIZE = 16
 #: Seconds one executor poll (or backoff wait) blocks at most.
 POLL_INTERVAL_S = 0.25
 
+#: Retry backoff: the n-th retry of a cell waits
+#: ``min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**(n-1))`` scaled by a
+#: deterministic jitter in ``[0.5, 1.0)`` (see :func:`backoff_delay`).
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+
 
 @dataclass(frozen=True)
 class FabricConfig:
-    """Scheduling policy for one campaign run.
+    """Scheduling options for one campaign run.
 
-    The checkpoint sidecar has no cadence setting: the scheduler
-    writes it whenever the retry state changes, and only then.
+    Failure handling has no further options: the poison verdict
+    derives from ``max_attempts``, the crash-loop breaker from
+    ``workers``, and the retry backoff is a pair of module constants.
+    The checkpoint sidecar has no cadence setting either: the
+    scheduler writes it whenever the retry state changes, and only
+    then.
 
     Attributes:
         workers: Worker count (``1`` stays in-process, more runs owned
             worker processes).
-        max_attempts: Attempts per cell before a synthesized error
-            record.
+        max_attempts: Attempts per cell.  A spent budget is a
+            synthesized error record: ``fabric:poison`` (quarantined)
+            when the worker died on every one of ``max_attempts >= 2``
+            attempts, a plain ``fabric:`` error otherwise.
         cell_timeout_s: Per-cell wall-clock budget (``None``: no
             timeout).  Only worker processes can be killed on it, so
             it needs ``workers > 1``.
-        fsync_every: Store appends per fsync (``1``: every record,
-            ``0``: only on close).
-        backoff_base_s: First-retry backoff scale; retries wait
-            ``min(cap, base * 2**(attempt-1))`` scaled by a
-            deterministic jitter in ``[0.5, 1.0)`` derived from
-            ``(master_seed, cell_id, attempt)``.
-        backoff_cap_s: Upper bound the retry backoff saturates at.
-        poison_threshold: Worker deaths attributed to one cell before
-            it is quarantined (a synthesized ``fabric:poison`` error
-            record, persisted in the checkpoint sidecar) instead of
-            burning more respawns and retry budget.
-        crashloop_threshold: Consecutive worker-death polls with zero
-            completed cells before the breaker degrades the worker
-            executor to ``inline`` with a loud warning.
     """
 
     workers: int = 1
     max_attempts: int = 2
     cell_timeout_s: Optional[float] = None
-    fsync_every: int = 1
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    poison_threshold: int = 3
-    crashloop_threshold: int = 5
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -123,18 +123,6 @@ class FabricConfig:
         if self.max_attempts < 1:
             raise CampaignError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise CampaignError("backoff delays must be >= 0")
-        if self.poison_threshold < 1:
-            raise CampaignError(
-                f"poison_threshold must be >= 1, got "
-                f"{self.poison_threshold}"
-            )
-        if self.crashloop_threshold < 1:
-            raise CampaignError(
-                f"crashloop_threshold must be >= 1, got "
-                f"{self.crashloop_threshold}"
             )
 
     def resolve_shard_size(self, pending: int,
@@ -175,24 +163,23 @@ class CampaignScheduler:
         #: Live aggregate of every record this run has seen (including
         #: records folded from the store on resume).
         self.aggregator = StreamingAggregator(spec)
+        #: Attempts charged per cell: one per worker death under it.
         self._attempts: Dict[str, int] = {}
-        #: Worker deaths attributed per cell (poison accounting).
-        self._worker_kills: Dict[str, int] = {}
         #: Cells quarantined as poison (never requeued again).
         self._quarantined: "set[str]" = set()
         #: Degradation note once the crash-loop breaker has fired.
         self._degraded: Optional[str] = None
-        #: Retry payloads waiting out their backoff:
-        #: ``(ready_at_monotonic, payload)``.
+        #: Payloads waiting to requeue, ``(ready_at_monotonic,
+        #: payload)``: retries wait out their backoff, a dead unit's
+        #: uncharged cells are ready at once.
         self._backoff: List[Tuple[float, Dict[str, Any]]] = []
-        #: Consecutive worker-death polls without a completed cell.
-        self._death_streak = 0
+        #: The crash-loop streak: attempts charged per cell since the
+        #: last completed cell, refunded if the breaker trips.
+        self._streak: Dict[str, int] = {}
         #: The retry state the sidecar on disk holds, as compared by
         #: :meth:`_save_checkpoint`: empty when there is no sidecar,
         #: ``None`` when unknown, which forces the next save.
-        self._persisted: Optional[Tuple[Any, ...]] = (
-            {}, {}, set(), None, set()
-        )
+        self._persisted: Optional[Tuple[Any, ...]] = ({}, set(), None, set())
         self._executor: Any = None
 
     # -- checkpointing ---------------------------------------------------
@@ -222,12 +209,6 @@ class CampaignScheduler:
                 str(cell_id): int(count)
                 for cell_id, count in attempts.items()
             }
-        kills = state.get("kills", {})
-        if isinstance(kills, dict):
-            self._worker_kills = {
-                str(cell_id): int(count)
-                for cell_id, count in kills.items()
-            }
         quarantined = state.get("quarantined", [])
         if isinstance(quarantined, list):
             self._quarantined = {str(cell_id) for cell_id in quarantined}
@@ -241,11 +222,10 @@ class CampaignScheduler:
         run never changes it, so it never writes.  Backoff deadlines
         are written but not compared: only the set of waiting cells is.
         """
-        attempts, kills = self._attempts, self._worker_kills
-        quarantined, degraded = self._quarantined, self._degraded
+        attempts, quarantined = self._attempts, self._quarantined
+        degraded = self._degraded
         backoff = {payload["cell_id"] for _, payload in self._backoff}
-        if self._persisted == (attempts, kills, quarantined, degraded,
-                               backoff):
+        if self._persisted == (attempts, quarantined, degraded, backoff):
             return
         path = self._checkpoint_path(store)
         now_monotonic = time.monotonic()
@@ -253,7 +233,6 @@ class CampaignScheduler:
         state = {
             "spec_hash": self.spec.spec_hash(),
             "attempts": attempts,
-            "kills": kills,
             "quarantined": sorted(quarantined),
             "degraded": degraded,
             # Wall-clock deadlines so an outside watcher can render
@@ -271,8 +250,8 @@ class CampaignScheduler:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        self._persisted = (dict(attempts), dict(kills), set(quarantined),
-                           degraded, backoff)
+        self._persisted = (dict(attempts), set(quarantined), degraded,
+                           backoff)
 
     def _clear_checkpoint(self, store: Any) -> None:
         try:
@@ -285,14 +264,13 @@ class CampaignScheduler:
     def run(self, resume: bool = False,
             progress: Optional[ProgressFn] = None) -> CampaignRunSummary:
         """Execute the campaign; see :func:`repro.campaign.run_campaign`."""
-        config = self.config
         if os.environ.get("REPRO_FAULT_PLAN"):
             # A plan inherited through the environment (a CLI subprocess
             # under chaos) has no recorded parent yet; claim it so the
             # worker-only fault sites never SIGKILL the orchestrator.
             from .faults import PARENT_PID_ENV
             os.environ.setdefault(PARENT_PID_ENV, str(os.getpid()))
-        store = open_store(self.store_path, fsync_every=config.fsync_every)
+        store = open_store(self.store_path)
         # The one grid expansion of the run: it also sizes the header
         # and the aggregator's per-kind progress totals.
         cells = self.spec.expand()
@@ -427,31 +405,19 @@ class CampaignScheduler:
                                    max(0.0, next_ready - now)))
                     continue
                 events = self._executor.poll(POLL_INTERVAL_S)
-                saw_done = False
-                saw_death = False
                 for event in events:
                     if isinstance(event, CellDone):
-                        saw_done = True
+                        # Progress: the streak's charges stand.
+                        self._streak.clear()
                         record_result(event.result)
-                    elif isinstance(event, UnitFailed):
-                        saw_death = saw_death or event.worker_death
+                    else:
                         self._absorb_failure(store, event, record_result,
                                              summary)
-                        # Persist the spent attempts before any later
+                        # Persist the spent attempt before any later
                         # record lands.
                         self._save_checkpoint(store)
-                # Crash-loop accounting: a poll that completed any cell
-                # is progress; a poll that only killed workers is one
-                # step toward the breaker.
-                if saw_done:
-                    self._death_streak = 0
-                elif saw_death:
-                    self._death_streak += 1
-                if (
-                    self._death_streak >= config.crashloop_threshold
-                    and not isinstance(self._executor, InlineExecutor)
-                ):
-                    submit(self._degrade_executor(store, summary))
+                if len(self._streak) > config.workers:
+                    submit(self._degrade_executor(summary))
                 # The poll's other changes: drained backoff waits, a
                 # breaker trip.
                 self._save_checkpoint(store)
@@ -459,24 +425,35 @@ class CampaignScheduler:
             self._executor.shutdown()
             self._executor = None
 
-    def _degrade_executor(self, store: Any,
-                          summary: CampaignRunSummary
+    def _degrade_executor(self, summary: CampaignRunSummary
                           ) -> List[Dict[str, Any]]:
         """Break a crash loop: swap the dying executor for ``inline``.
 
-        The old executor surrenders its queued and in-flight work
-        (no retry attempts are charged -- the loop is the executor's
-        fault, not the cells'), and the surrendered payloads run
-        in-process instead of respawning workers forever.  Loud on
-        purpose: silent degradation would hide a real infrastructure
-        problem.
+        Worker deaths under more distinct cells than there are workers,
+        with none completing, are the executor's fault, not the cells':
+        the attempts the streak charged are refunded (a quarantine
+        verdict already recorded stands).  The old executor surrenders
+        its queued and in-flight work, which runs in-process instead of
+        respawning workers forever.  Loud on purpose: silent
+        degradation would hide a real infrastructure problem.
         """
+        for cell_id, charged in self._streak.items():
+            if cell_id in self._quarantined:
+                continue
+            left = self._attempts[cell_id] - charged
+            if left:
+                self._attempts[cell_id] = left
+            else:
+                del self._attempts[cell_id]
+        hit, workers = len(self._streak), self.config.workers
+        self._streak.clear()
         old = self._executor
         abandoned = old.abandon()
         old.shutdown()
         self._degraded = (
-            f"{old.name}->inline after {self._death_streak} consecutive "
-            "worker-death polls with no completed cells"
+            f"{old.name}->inline after worker deaths under {hit} distinct "
+            f"cells (more than the {workers} workers) with no completed "
+            "cell; their attempts were refunded"
         )
         summary.degraded = self._degraded
         timeouts = (
@@ -486,21 +463,20 @@ class CampaignScheduler:
         )
         print(
             f"fabric WARNING: crash-loop breaker tripped -- executor "
-            f"{old.name!r} lost workers on "
-            f"{self._death_streak} consecutive polls without completing "
-            "a cell; degrading to 'inline' (in-process) for the rest of "
-            f"the run{timeouts}",
+            f"{old.name!r} lost workers under {hit} distinct cells, more "
+            f"than its {workers} workers, without completing a cell; "
+            "refunding their attempts and degrading to 'inline' "
+            f"(in-process) for the rest of the run{timeouts}",
             file=sys.stderr, flush=True,
         )
-        self._death_streak = 0
         self._executor = InlineExecutor()
         return [
             payload for event in abandoned for payload in event.pending
         ]
 
-    def _poison_payload(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """The synthesized error record for a quarantined cell."""
-        kills = self._worker_kills.get(payload["cell_id"], 0)
+    def _error_payload(self, payload: Dict[str, Any],
+                       error: str) -> Dict[str, Any]:
+        """A synthesized error record for a cell the fabric gave up on."""
         return {
             "cell_id": payload["cell_id"],
             "kind": payload["kind"],
@@ -509,76 +485,65 @@ class CampaignScheduler:
             "spec_hash": payload["spec_hash"],
             "status": "error",
             "metrics": None,
-            "error": (
-                f"fabric:poison cell killed {kills} workers "
-                f"(threshold {self.config.poison_threshold}); quarantined"
-            ),
+            "error": error,
             "duration_s": 0.0,
             "finished_at": time.time(),
             "worker": 0,
         }
 
+    def _poison_payload(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The synthesized error record for a quarantined cell."""
+        attempts = self._attempts.get(payload["cell_id"], 0)
+        return self._error_payload(
+            payload,
+            f"fabric:poison cell killed its worker on all {attempts} "
+            "attempts; quarantined",
+        )
+
     def _absorb_failure(self, store: Any, event: UnitFailed,
                         record_result: Any,
                         summary: CampaignRunSummary) -> None:
-        """Fold one unit failure into retry/poison/error bookkeeping.
+        """Fold one worker death into retry, poison and error records.
 
-        Worker deaths are attributed to the unit's first unfinished
-        cell (cells run in order, so that is the one the worker died
-        under); a cell whose kills reach ``poison_threshold`` is
-        quarantined with a synthesized ``fabric:poison`` record and an
-        immediate checkpoint.  Everything else spends one retry
-        attempt and, if budget remains, waits out a deterministic
-        exponential backoff before requeueing.
+        Cells run in order, so the worker died under the unit's first
+        unfinished cell: that cell alone spends an attempt and joins the
+        crash-loop streak.  The unit's other unfinished cells never ran:
+        they requeue at once, charged nothing.  With budget left, the
+        charged cell waits out a deterministic exponential backoff
+        before its retry.  With the budget spent it is poison when
+        ``max_attempts >= 2``: the verdict is checkpointed, then
+        recorded as ``fabric:poison``, and the cell is quarantined.
+        With one attempt, the death gets a plain ``fabric:`` error
+        record that a resume runs again.
         """
-        config = self.config
-        victim = (
-            event.pending[0]["cell_id"]
-            if event.worker_death and event.pending else None
-        )
-        for payload in event.pending:
-            cell_id = payload["cell_id"]
-            if cell_id in self._quarantined:
-                continue  # verdict already recorded
-            if cell_id == victim:
-                kills = self._worker_kills.get(cell_id, 0) + 1
-                self._worker_kills[cell_id] = kills
-                if kills >= config.poison_threshold:
-                    self._quarantined.add(cell_id)
-                    summary.quarantined += 1
-                    # Checkpoint *before* the record lands: the verdict
-                    # must survive a SIGKILL, or a resume would burn
-                    # fresh workers rediscovering the poison.  A kill
-                    # between the two leaves a verdict without its
-                    # record, which the resume re-settles.
-                    self._save_checkpoint(store)
-                    record_result(self._poison_payload(payload))
-                    continue
-            attempts = self._attempts.get(cell_id, 0) + 1
-            self._attempts[cell_id] = attempts
-            if attempts < config.max_attempts:
-                summary.retried += 1
-                delay = backoff_delay(
-                    cell_id, attempts,
-                    base_s=config.backoff_base_s,
-                    cap_s=config.backoff_cap_s,
-                    seed=self.spec.master_seed,
-                )
-                self._backoff.append((time.monotonic() + delay, payload))
-            else:
-                record_result({
-                    "cell_id": cell_id,
-                    "kind": payload["kind"],
-                    "params": dict(payload["params"]),
-                    "seed": int(payload["seed"]),
-                    "spec_hash": payload["spec_hash"],
-                    "status": "error",
-                    "metrics": None,
-                    "error": (
-                        f"fabric: {event.reason} "
-                        f"(attempt {attempts}/{config.max_attempts})"
-                    ),
-                    "duration_s": 0.0,
-                    "finished_at": time.time(),
-                    "worker": 0,
-                })
+        if not event.pending:
+            return  # the worker died between cells
+        payload, *innocent = event.pending
+        now = time.monotonic()
+        self._backoff.extend((now, other) for other in innocent)
+        cell_id = payload["cell_id"]
+        attempts = self._attempts.get(cell_id, 0) + 1
+        self._attempts[cell_id] = attempts
+        self._streak[cell_id] = self._streak.get(cell_id, 0) + 1
+        max_attempts = self.config.max_attempts
+        if attempts < max_attempts:
+            summary.retried += 1
+            delay = backoff_delay(
+                cell_id, attempts,
+                base_s=BACKOFF_BASE_S, cap_s=BACKOFF_CAP_S,
+                seed=self.spec.master_seed,
+            )
+            self._backoff.append((now + delay, payload))
+        elif max_attempts >= 2:
+            self._quarantined.add(cell_id)
+            # Checkpoint *before* the record lands: the verdict must
+            # survive a SIGKILL, or a resume would burn fresh workers
+            # rediscovering the poison.  A kill between the two leaves
+            # a verdict without its record, which the resume re-settles.
+            self._save_checkpoint(store)
+            record_result(self._poison_payload(payload))
+        else:
+            record_result(self._error_payload(
+                payload,
+                f"fabric: {event.reason} (attempt {attempts}/{max_attempts})",
+            ))

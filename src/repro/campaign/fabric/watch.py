@@ -49,9 +49,9 @@ def load_fabric_health(store: Any) -> Optional[Dict[str, Any]]:
     """The scheduler's checkpoint sidecar, or ``None``.
 
     The sidecar (``fabric.json`` next to the store) is where the
-    scheduler persists degradation state -- retry attempts, worker-kill
-    attribution, quarantined cells, executor downgrades and pending
-    backoff waits.  The scheduler writes it only when that state
+    scheduler persists degradation state -- the attempts worker deaths
+    charged per cell, quarantined cells, executor downgrades and
+    pending backoff waits.  The scheduler writes it only when that state
     changes, so a run with no failure has none: ``None`` means nothing
     to report.  Watching also tolerates a torn sidecar (the writer may
     be mid-``os.replace``).

@@ -46,11 +46,11 @@ class CampaignRunSummary:
         failed: Executed cells whose final outcome is an error.
         duration_s: Wall-clock time of this invocation.
         records: The records appended by this invocation.
-        retried: Cell attempts beyond the first (crashes, timeouts,
-            requeues) absorbed by the fabric.
-        quarantined: Cells quarantined as poison (each killed
-            ``poison_threshold`` workers and got a synthesized
-            ``fabric:poison`` error record instead of more respawns).
+        retried: Retries the fabric scheduled for cells whose worker
+            died under them (crash or timeout kill).
+        quarantined: Cells quarantined as poison (each killed its
+            worker on every one of ``max_attempts >= 2`` attempts and
+            got a synthesized ``fabric:poison`` error record).
         degraded: Degradation note when the crash-loop breaker swapped
             a repeatedly-dying executor for ``inline`` (``None``
             otherwise).
@@ -135,13 +135,14 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     max_attempts: int = 2,
     cell_timeout_s: Optional[float] = None,
-    fsync_every: int = 1,
-    backoff_base_s: float = 0.05,
-    backoff_cap_s: float = 2.0,
-    poison_threshold: int = 3,
-    crashloop_threshold: int = 5,
 ) -> CampaignRunSummary:
     """Execute a campaign against a persistent store.
+
+    Beyond ``max_attempts`` and ``cell_timeout_s``, failure handling
+    has no options: retries back off by the scheduler's constants,
+    every record is fsynced, and the crash-loop breaker trips when
+    worker deaths hit more distinct cells than ``workers`` with none
+    completing (see :mod:`repro.campaign.fabric.scheduler`).
 
     Args:
         spec: The campaign definition.
@@ -151,21 +152,14 @@ def run_campaign(
         resume: Extend an existing store, skipping completed cells.
             The store's spec hash must match ``spec`` exactly.
         progress: Optional per-cell callback.
-        max_attempts: Attempts per cell before a synthesized error
-            record (crashed/timed-out attempts produce no record of
-            their own).
+        max_attempts: Attempts per cell.  A worker death (crash or
+            timeout kill) charges one attempt to the cell it died
+            under, and only to it.  A cell whose worker died on every
+            one of ``max_attempts >= 2`` attempts is quarantined with a
+            ``fabric:poison`` record; with one attempt, the death is a
+            plain ``fabric:`` error record that a resume runs again.
         cell_timeout_s: Per-cell wall-clock budget; exceeding it kills
-            the worker and consumes one attempt.
-        fsync_every: Store appends per fsync (default: fsync every
-            record; ``0``: only on close).
-        backoff_base_s: First-retry backoff scale (retries wait an
-            exponentially-growing, deterministically-jittered delay).
-        backoff_cap_s: Upper bound the retry backoff saturates at.
-        poison_threshold: Worker deaths attributed to one cell before
-            it is quarantined with a ``fabric:poison`` record.
-        crashloop_threshold: Consecutive no-progress worker-death
-            polls before the worker executor is degraded to
-            ``inline``.
+            the worker and charges the cell one attempt.
 
     Returns:
         A :class:`CampaignRunSummary`; per-cell failures are recorded,
@@ -184,11 +178,6 @@ def run_campaign(
         workers=workers,
         max_attempts=max_attempts,
         cell_timeout_s=cell_timeout_s,
-        fsync_every=fsync_every,
-        backoff_base_s=backoff_base_s,
-        backoff_cap_s=backoff_cap_s,
-        poison_threshold=poison_threshold,
-        crashloop_threshold=crashloop_threshold,
     )
     scheduler = CampaignScheduler(spec, store_path, config)
     return scheduler.run(resume=resume, progress=progress)

@@ -9,7 +9,7 @@ difference between the spec's expansion and the ids already persisted.
 
 This module defines the :class:`CellRecord` schema and the one store,
 :class:`CampaignStore`: an append-only JSONL file with torn-tail
-healing, a configurable fsync cadence, bounded retries on transient
+healing, an fsync after every record, bounded retries on transient
 append errors and atomic compaction.
 :func:`repro.campaign.stores.open_store` opens a store by path.
 """
@@ -216,28 +216,19 @@ class CampaignStore:
     """Append-only single-file JSONL campaign store.
 
     The first line is the header; every later line is one cell.  A
-    persistent append handle is kept open across appends (opening and
-    fsyncing per record made the store the bottleneck for sub-second
-    cells).  ``fsync_every=1`` (the default) fsyncs after every record,
-    so a kill loses at most the in-flight cell; ``fsync_every=N``
-    batches the fsync over N appends (a kill can lose up to the last
-    N-1 records, which simply re-run on resume), and ``fsync_every=0``
-    only forces on :meth:`close`.  Every append is still *flushed*, so
-    live readers (``campaign watch``) see records immediately.
+    persistent append handle is kept open across appends (reopening
+    it per record made the store the bottleneck for sub-second cells).
+    Every append is flushed, so live readers (``campaign watch``) see
+    records immediately, and fsynced, so a kill loses at most the
+    in-flight cell.
     """
 
-    def __init__(self, path: str, fsync_every: int = 1) -> None:
+    def __init__(self, path: str) -> None:
         if not path:
             raise CampaignError("a store needs a path")
-        if fsync_every < 0:
-            raise CampaignError(
-                f"fsync_every must be >= 0, got {fsync_every}"
-            )
         self.path = path
-        self.fsync_every = fsync_every
         self._header: Optional[Dict[str, Any]] = None
         self._handle = None
-        self._unsynced = 0
 
     # -- header and spec -------------------------------------------------
 
@@ -415,12 +406,8 @@ class CampaignStore:
                         handle.truncate(valid_end)
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        # Always flush (live watchers tail the file); fsync per cadence.
         self._handle.flush()
-        self._unsynced += 1
-        if self.fsync_every and self._unsynced >= self.fsync_every:
-            os.fsync(self._handle.fileno())
-            self._unsynced = 0
+        os.fsync(self._handle.fileno())
 
     def _drop_handle(self) -> None:
         """Drop the append handle after a failed write; the next write
@@ -431,7 +418,6 @@ class CampaignStore:
             except OSError:
                 pass
             self._handle = None
-            self._unsynced = 0
 
     def _torn_write(self, payload: Dict[str, Any]) -> None:
         """Tear a partial line into the file (the fault plane's
@@ -441,18 +427,9 @@ class CampaignStore:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def flush(self) -> None:
-        """Force buffered appends to disk (a durability barrier)."""
-        if self._handle is not None:
-            self._handle.flush()
-            if self._unsynced:
-                os.fsync(self._handle.fileno())
-                self._unsynced = 0
-
     def close(self) -> None:
-        """Flush and release the append handle."""
+        """Release the append handle (every append is already synced)."""
         if self._handle is not None:
-            self.flush()
             self._handle.close()
             self._handle = None
 

@@ -18,17 +18,11 @@ from .store import CampaignStore
 _REMOVED_SCHEMES = ("sqlite:", "shards:")
 
 
-def open_store(path: str, fsync_every: int = 1) -> CampaignStore:
+def open_store(path: str) -> CampaignStore:
     """Open (not create) the JSONL store at ``path``.
 
-    Args:
-        path: Store file path.
-        fsync_every: Appends per fsync (``0``: only on close), see
-            :class:`~repro.campaign.store.CampaignStore`.
-
     Raises:
-        CampaignError: ``path`` is empty, names a removed backend, or
-            ``fsync_every`` is negative.
+        CampaignError: ``path`` is empty or names a removed backend.
     """
     if not path:
         raise CampaignError("a store needs a path")
@@ -43,4 +37,4 @@ def open_store(path: str, fsync_every: int = 1) -> CampaignStore:
             f"store {path!r} is a directory: the shards backend was "
             "removed; campaign stores are JSONL files"
         )
-    return CampaignStore(path, fsync_every=fsync_every)
+    return CampaignStore(path)

@@ -239,11 +239,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             progress=progress,
             max_attempts=args.max_attempts,
             cell_timeout_s=args.cell_timeout,
-            fsync_every=args.fsync_every,
-            backoff_base_s=args.backoff_base,
-            backoff_cap_s=args.backoff_cap,
-            poison_threshold=args.poison_threshold,
-            crashloop_threshold=args.crashloop_threshold,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -408,26 +403,11 @@ def _add_campaign_subcommands(
     run.add_argument("--spin-ms", type=float, default=0.0,
                      help="busy-wait per calibration cell (ms)")
     run.add_argument("--max-attempts", type=int, default=2,
-                     help="attempts per cell before a recorded error")
+                     help="attempts per cell; a cell whose worker died "
+                          "on every one of >= 2 attempts is quarantined")
     run.add_argument("--cell-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-cell wall-clock budget (kills the worker)")
-    run.add_argument("--fsync-every", type=int, default=1, metavar="N",
-                     help="fsync the store every N records "
-                          "(0 = only on close)")
-    run.add_argument("--backoff-base", type=float, default=0.05,
-                     metavar="SECONDS",
-                     help="first-retry backoff scale (exponential, "
-                          "deterministically jittered)")
-    run.add_argument("--backoff-cap", type=float, default=2.0,
-                     metavar="SECONDS",
-                     help="upper bound the retry backoff saturates at")
-    run.add_argument("--poison-threshold", type=int, default=3,
-                     help="worker deaths attributed to one cell before "
-                          "it is quarantined")
-    run.add_argument("--crashloop-threshold", type=int, default=5,
-                     help="consecutive no-progress worker-death polls "
-                          "before the executor degrades to inline")
     run.set_defaults(func=cmd_campaign_run)
 
     status = actions.add_parser("status", help="progress of a store")

@@ -119,8 +119,8 @@ class TestExecutors:
     def test_abandon_returns_pending_not_worker_death(self, workers):
         """The crash-loop breaker relies on abandon(): every queued
         payload comes back as an orderly UnitFailed so it can be
-        resubmitted elsewhere, with ``worker_death`` unset so abandoned
-        cells never accumulate kills toward quarantine."""
+        resubmitted elsewhere, never through the scheduler's
+        worker-death accounting."""
         from repro.campaign.fabric.executors import UnitFailed
 
         executor = make_executor(workers)
@@ -135,7 +135,8 @@ class TestExecutors:
         assert executor.outstanding() == 0
         pending = [p for event in abandoned for p in event.pending]
         assert all(isinstance(event, UnitFailed) for event in abandoned)
-        assert all(not event.worker_death for event in abandoned)
+        assert all(event.reason == "executor abandoned"
+                   for event in abandoned)
         # Units may already be mid-flight on workers, so abandon
         # returns a subset; everything it does return must be intact.
         for payload in pending:
@@ -204,8 +205,34 @@ class TestScheduler:
             FabricConfig(workers=0)
         with pytest.raises(CampaignError):
             FabricConfig(max_attempts=0)
-        with pytest.raises(CampaignError):
-            FabricConfig(poison_threshold=0)
+
+    def test_policy_surface_is_pinned(self):
+        """Poison and crash-loop verdicts derive from ``max_attempts``
+        and ``workers``, and backoff and fsync are fixed: a new policy
+        knob on ``campaign run`` or ``FabricConfig`` fails here first."""
+        import argparse
+        import dataclasses
+
+        from repro.cli import build_parser
+
+        def subcommand(parser, name):
+            (action,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+            return action.choices[name]
+
+        run = subcommand(subcommand(build_parser(), "campaign"), "run")
+        flags = {flag for action in run._actions
+                 for flag in action.option_strings}
+        assert flags == {
+            "-h", "--help", "--store", "--platforms", "--kinds",
+            "--workers", "--resume", "--name", "--smoke", "--paper-scale",
+            "--spec-json", "--calibration", "--spin-ms", "--max-attempts",
+            "--cell-timeout", "--sessions", "--duration", "--probes",
+            "--seed",
+        }
+        assert [f.name for f in dataclasses.fields(FabricConfig)] == [
+            "workers", "max_attempts", "cell_timeout_s",
+        ]
 
     def test_cell_timeout_needs_workers(self, tmp_path, capsys):
         """One worker runs cells in-process, where nothing can stop an
@@ -649,7 +676,6 @@ class TestWatch:
                 last = record
             else:
                 writer.append_cell(record)
-        writer.flush()
 
         first_tick = threading.Event()
 
@@ -706,7 +732,6 @@ class TestWatch:
         writer.initialise(spec)
         for cell in cells[:2]:
             writer.append_cell(record(cell))
-        writer.flush()
 
         first_tick = threading.Event()
 
@@ -754,10 +779,10 @@ class TestWatch:
         sidecar = {
             "spec_hash": spec.spec_hash(),
             "attempts": {},
-            "kills": {"noop:index=0,spin_ms=0.0": 3},
             "quarantined": ["noop:index=0,spin_ms=0.0"],
-            "degraded": "workers->inline after 3 consecutive "
-                        "worker-death polls with no completed cells",
+            "degraded": "workers->inline after worker deaths under 3 "
+                        "distinct cells (more than the 2 workers) with no "
+                        "completed cell; their attempts were refunded",
             "backoff": {"noop:index=1,spin_ms=0.0": time_mod.time() + 60},
         }
         with open(store.sidecar_path("fabric.json"), "w") as handle:

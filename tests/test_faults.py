@@ -3,9 +3,9 @@
 Backoff schedules must be reproducible bit-for-bit, fault plans must
 fire exactly ``times`` across a whole process tree, transient store
 I/O must be retried (and torn debris healed) without ever weakening
-refuse-on-corruption, poison cells must be quarantined instead of
-eating the retry budget, and a crash-looping executor must degrade to
-inline and still finish the grid.
+refuse-on-corruption, a cell whose worker dies on every attempt must
+be quarantined as poison, and a crash-looping executor must degrade to
+inline and still finish the grid without charging any cell.
 """
 
 import json
@@ -272,11 +272,8 @@ class TestHardeningIntegration:
             state_dir=str(tmp_path / "state"),
         )
         faults.activate(plan, str(tmp_path / "plan.json"))
-        summary = run_campaign(
-            spec, str(tmp_path / "store.jsonl"),
-            workers=2, max_attempts=10,
-            poison_threshold=2, backoff_base_s=0.01, backoff_cap_s=0.05,
-        )
+        summary = run_campaign(spec, str(tmp_path / "store.jsonl"),
+                               workers=2)
         assert summary.quarantined == 1
         assert summary.degraded is None
         poison = [
@@ -297,11 +294,8 @@ class TestHardeningIntegration:
             state_dir=str(tmp_path / "state"),
         )
         faults.activate(plan, str(tmp_path / "plan.json"))
-        summary = run_campaign(
-            spec, str(tmp_path / "store.jsonl"),
-            workers=2, max_attempts=10,
-            crashloop_threshold=3, backoff_base_s=0.01, backoff_cap_s=0.05,
-        )
+        summary = run_campaign(spec, str(tmp_path / "store.jsonl"),
+                               workers=2)
         assert summary.degraded is not None
         assert "inline" in summary.degraded
         assert summary.failed == 0
@@ -321,9 +315,7 @@ class TestHardeningIntegration:
         faults.activate(plan, str(tmp_path / "plan.json"))
         summary = run_campaign(
             spec, str(tmp_path / "store.jsonl"),
-            workers=2, max_attempts=10, cell_timeout_s=timeout_s,
-            crashloop_threshold=3, poison_threshold=99,
-            backoff_base_s=0.01, backoff_cap_s=0.05,
+            workers=2, cell_timeout_s=timeout_s,
         )
         assert summary.degraded is not None and summary.failed == 0
         err = capsys.readouterr().err
@@ -364,8 +356,7 @@ class TestHardeningIntegration:
             "    state_dir=os.path.join(tmp, 'state')),\n"
             "    os.path.join(tmp, 'plan.json'))\n"
             "summary = run_campaign(spec, os.path.join(tmp, 'store.jsonl'),\n"
-            "    workers=2, max_attempts=10, poison_threshold=2,\n"
-            "    backoff_base_s=0.01, backoff_cap_s=0.05)\n"
+            "    workers=2)\n"
             "print(summary.executed, summary.quarantined)\n"
         )
         done = subprocess.run(
@@ -378,6 +369,113 @@ class TestHardeningIntegration:
         assert len(_ok_content(str(tmp_path / "store.jsonl"))) == 3
 
 
+# --------------------------------------------------------------------- #
+# The failure policy at the CLI defaults (max_attempts=2)
+# --------------------------------------------------------------------- #
+
+def _arm(tmp_path, *specs):
+    plan = FaultPlan(chaos_seed=0, specs=specs,
+                     state_dir=str(tmp_path / "state"))
+    faults.activate(plan, str(tmp_path / "plan.json"))
+    return plan
+
+
+class TestFailurePolicyAtDefaults:
+    """Worker deaths charge only the cell the worker died under, poison
+    follows from ``max_attempts``, and a crash loop charges nothing."""
+
+    @pytest.mark.parametrize("cells,workers", [(6, 2), (24, 2), (6, 4)])
+    def test_crash_loop_fails_and_quarantines_nothing(self, tmp_path,
+                                                      cells, workers):
+        spec = calibration_campaign(cells=cells, spin_ms=5.0,
+                                    name="crashloop-defaults")
+        _arm(tmp_path, FaultSpec("executor.crashloop", times=500))
+        summary = run_campaign(spec, str(tmp_path / "store.jsonl"),
+                               workers=workers)
+        assert summary.degraded is not None
+        assert summary.failed == 0
+        assert summary.quarantined == 0
+        # The breaker checks after each poll, and a poll reports at most
+        # one death per worker: at most 2 * workers cells are charged.
+        assert summary.retried <= 2 * workers
+        assert len(_ok_content(str(tmp_path / "store.jsonl"))) == cells
+
+    def test_breaker_trip_refunds_the_streak(self, tmp_path, monkeypatch):
+        from repro.campaign.fabric.scheduler import (
+            CHECKPOINT_NAME,
+            CampaignScheduler,
+        )
+
+        spec = calibration_campaign(cells=6, spin_ms=5.0, name="refund")
+        _arm(tmp_path, FaultSpec("executor.crashloop", times=500))
+        saved = []
+        save = CampaignScheduler._save_checkpoint
+
+        def recording_save(scheduler, store):
+            save(scheduler, store)
+            path = store.sidecar_path(CHECKPOINT_NAME)
+            if os.path.exists(path):
+                with open(path, encoding="utf-8") as handle:
+                    saved.append(json.load(handle))
+
+        monkeypatch.setattr(CampaignScheduler, "_save_checkpoint",
+                            recording_save)
+        summary = run_campaign(spec, str(tmp_path / "store.jsonl"),
+                               workers=2)
+        assert summary.degraded is not None
+        tripped = [state for state in saved if state["degraded"]]
+        assert tripped, "the trip never reached the sidecar"
+        # Every cell charged before the trip died in the streak (no cell
+        # completes under a crash loop), so nothing is left charged.
+        assert tripped[0]["attempts"] == {}
+
+    def test_poison_quarantined_after_two_deaths(self, tmp_path):
+        spec = calibration_campaign(cells=4, spin_ms=5.0,
+                                    name="poison-defaults")
+        target = _target_cell(spec)
+        store_path = str(tmp_path / "store.jsonl")
+        plan = _arm(tmp_path,
+                    FaultSpec("cell.crash", cell_id=target, times=99))
+        summary = run_campaign(spec, store_path, workers=2)
+        faults.deactivate()
+        assert plan.fired("cell.crash") == 2
+        assert summary.quarantined == 1 and summary.degraded is None
+        (verdict,) = [r for r in open_store(store_path).cell_records()
+                      if r.cell_id == target]
+        assert verdict.error.startswith("fabric:poison")
+        # The verdict stands on resume: nothing runs again, even with
+        # the fault plan gone.
+        resumed = run_campaign(spec, store_path, workers=2, resume=True)
+        assert resumed.executed == 0
+
+    def test_one_crash_charges_one_cell(self, tmp_path):
+        spec = calibration_campaign(cells=24, spin_ms=5.0, name="one-crash")
+        plan = _arm(tmp_path,
+                    FaultSpec("cell.crash", cell_id=_target_cell(spec)))
+        summary = run_campaign(spec, str(tmp_path / "store.jsonl"),
+                               workers=2)
+        assert plan.fired("cell.crash") == 1
+        assert summary.retried == 1
+        assert summary.failed == 0
+        assert len(_ok_content(str(tmp_path / "store.jsonl"))) == 24
+
+    def test_single_attempt_crash_is_a_plain_error_resume_reruns(
+            self, tmp_path):
+        spec = calibration_campaign(cells=24, spin_ms=5.0,
+                                    name="one-attempt")
+        target = _target_cell(spec)
+        store_path = str(tmp_path / "store.jsonl")
+        _arm(tmp_path, FaultSpec("cell.crash", cell_id=target))
+        summary = run_campaign(spec, store_path, workers=2, max_attempts=1)
+        faults.deactivate()
+        assert summary.quarantined == 0
+        (error,) = [r for r in summary.records if not r.ok]
+        assert error.cell_id == target
+        assert error.error == "fabric: worker process died (attempt 1/1)"
+        resumed = run_campaign(spec, store_path, workers=2, resume=True)
+        assert resumed.executed == 1 and resumed.failed == 0
+
+
 class TestQuarantineSurvivesKillResume:
     def _poison_run(self, tmp_path, spec, store_path):
         plan = FaultPlan(
@@ -388,10 +486,7 @@ class TestQuarantineSurvivesKillResume:
         )
         faults.activate(plan, str(tmp_path / "plan.json"))
         try:
-            return run_campaign(
-                spec, store_path, workers=2, max_attempts=10,
-                poison_threshold=2, backoff_base_s=0.01, backoff_cap_s=0.05,
-            )
+            return run_campaign(spec, store_path, workers=2)
         finally:
             faults.deactivate()
 
@@ -466,8 +561,6 @@ class TestQuarantineSurvivesKillResume:
                 sys.executable, "-m", "repro", "campaign", "run",
                 "--spec-json", spec_path, "--store", store_path,
                 "--workers", "2",
-                "--max-attempts", "10", "--poison-threshold", "2",
-                "--backoff-base", "0.01",
             ]
             if resume:
                 command.append("--resume")

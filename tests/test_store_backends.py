@@ -131,7 +131,6 @@ class TestStoreContract:
         store = open_store(store_path)
         store.initialise(spec)
         store.append_cell(record_for(cells[0], spec))
-        store.flush()
 
         reader = open_store(store_path)
         first, cursor = reader.tail()
@@ -139,28 +138,11 @@ class TestStoreContract:
 
         for cell in cells[1:3]:
             store.append_cell(record_for(cell, spec))
-        store.flush()
         fresh, cursor = reader.tail(cursor)
         assert [r.cell_id for r in fresh] == [c.cell_id for c in cells[1:3]]
         nothing, cursor = reader.tail(cursor)
         assert nothing == []
         store.close()
-
-    def test_durability_policies_accepted(self, store_path):
-        spec = spec_of()
-        for fsync_every, suffix in ((0, "a"), (5, "b")):
-            path = store_path.replace("store", f"dur-{suffix}")
-            store = open_store(path, fsync_every=fsync_every)
-            assert store.fsync_every == fsync_every
-            store.initialise(spec)
-            for cell in spec.expand():
-                store.append_cell(record_for(cell, spec))
-            store.close()  # close is the final durability barrier
-            assert len(open_store(path).cell_records()) == 3
-
-    def test_negative_fsync_rejected(self):
-        with pytest.raises(CampaignError, match="fsync_every must be >= 0"):
-            open_store("store.jsonl", fsync_every=-1)
 
     def test_run_campaign_against_backend(self, store_path):
         spec = spec_of(cells=4, name="run")
